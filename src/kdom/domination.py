@@ -32,15 +32,6 @@ class DominationResult:
     k: int
     feasible: bool = True
 
-    @property
-    def witness_mask(self):
-        if self.witness is None:
-            return None
-        m = 0
-        for v in self.witness:
-            m |= 1 << v
-        return m
-
 
 def _check_variant(variant):
     if variant not in VARIANTS:

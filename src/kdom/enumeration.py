@@ -1,51 +1,77 @@
 """Isomorph-free streams of connected graphs, one level per vertex count.
 
-Level n is generated by extension: every connected representative on n-1
-vertices gains a new vertex adjacent to each nonempty subset of the old
-ones, children are canonicalized, and the whole level is deduplicated by
-canonical string.  Completeness rests on every connected graph having a
-non-cut vertex; attaching to a nonempty subset keeps intermediates
-connected, so no filter is needed beyond the single-vertex base case.
-Levels are sorted by canonical graph6 and cached, so emission order is
-deterministic and repeat calls are free within a process.
+Levels are built by orderly generation (R. C. Read, "Every one a winner",
+Ann. Discrete Math. 2, 1978) over all graphs, connected or not.  Every
+graph is kept in its canonical labeling, the one whose graph6 string is
+lexicographically smallest (kdom.isomorphism).  A graph on m vertices is
+a graph on m-1 vertices plus a last vertex joined to some subset of the
+others, the empty subset included, and a child is kept exactly when its
+identity labeling is canonical (is_lex_min).
+
+This is exact because the canonical labeling is hereditary.  Deleting the
+last vertex of a canonical graph leaves a canonical graph: its string is
+the prefix made of columns 1..m-2, and a relabeling that made that prefix
+smaller would, with the last vertex fixed, make the whole string smaller.
+So each class is produced once, from its unique canonical parent, with no
+dedup and no relabeling.
+
+A child's string is its parent's string followed by the new column, so
+taking parents in graph6 order and new columns in ascending order emits
+every level in graph6 order.  A new column whose adjacency to the first
+m-2 vertices reads below the parent's last column is skipped: swapping the
+two last vertices would give a smaller string.  The connected level is the
+kept graphs that are connected.  Levels are cached, so repeat calls are
+free within a process.
 
 Guards: n <= 8 by default, allow_large=True lifts it to the hard ceiling
-(env KDOM_MAX_N, default 9).
+(env KDOM_MAX_N, default and maximum 9).
 """
 
 import os
 
-from .graphs import Graph, graph6_decode
-from .isomorphism import canonical_form
+from .graphs import Graph, is_connected
+from .isomorphism import is_lex_min
 
 DEFAULT_GUARD = 8
-DEFAULT_CEILING = 9
+MAX_CEILING = 9  # default and largest KDOM_MAX_N: level 10 needs about 12M graphs and hours
 
-_levels: dict[int, tuple] = {}
+_all_levels: dict[int, tuple] = {1: (Graph(1, (0,)),)}  # every graph, canonical labeling
+_levels: dict[int, tuple] = {1: _all_levels[1]}  # the connected ones
 
 
 def _hard_ceiling():
     raw = os.environ.get("KDOM_MAX_N")
     if raw is None:
-        return DEFAULT_CEILING
+        return MAX_CEILING
     try:
-        return int(raw)
+        ceiling = int(raw)
     except ValueError:
         raise ValueError(f"KDOM_MAX_N must be an integer, got {raw!r}") from None
+    if ceiling > MAX_CEILING:
+        raise ValueError(f"KDOM_MAX_N={ceiling} exceeds the maximum {MAX_CEILING}")
+    return ceiling
+
+
+def _column(row, j):
+    """Column of a vertex at position j: its bits for 0..j-1, vertex 0 first."""
+    return int(f"{row:0{j}b}"[::-1], 2) if j else 0
 
 
 def _extend_level(parents, m):
-    seen = set()
+    """Every graph on m vertices in canonical labeling, in graph6 order."""
     new = m - 1
+    bit = 1 << new
+    subsets = [_column(c, new) for c in range(1 << new)]  # new column -> neighbour mask
+    out = []
     for parent in parents:
         base = parent.adj
-        for sub in range(1, 1 << new):
-            rows = [
-                base[v] | (1 << new) if (sub >> v) & 1 else base[v] for v in range(new)
-            ]
+        for col in range(_column(base[-1], new - 1) << 1, 1 << new):
+            sub = subsets[col]
+            rows = [base[v] | bit if (sub >> v) & 1 else base[v] for v in range(new)]
             rows.append(sub)
-            seen.add(canonical_form(Graph(m, rows)).canon_graph6)
-    return tuple(graph6_decode(s) for s in sorted(seen))
+            if is_lex_min(m, rows):
+                out.append(Graph(m, rows))
+    return tuple(out)
 
 
 def connected_graphs(n, allow_large=False):
@@ -63,9 +89,10 @@ def connected_graphs(n, allow_large=False):
         raise ValueError(
             f"n={n} exceeds the default guard {DEFAULT_GUARD}; pass allow_large=True"
         )
-    if 1 not in _levels:
-        _levels[1] = (Graph(1, (0,)),)
     for m in range(2, n + 1):
         if m not in _levels:
-            _levels[m] = _extend_level(_levels[m - 1], m)
+            graphs = _extend_level(_all_levels[m - 1], m)
+            if m < MAX_CEILING:  # the top level is never a parent
+                _all_levels[m] = graphs
+            _levels[m] = tuple(g for g in graphs if is_connected(g))
     return _levels[n]

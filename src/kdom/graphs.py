@@ -6,8 +6,6 @@ objects: construction validates, instances never change, and equality is
 labeled bit equality.  Isomorphism lives in kdom.isomorphism.
 """
 
-from itertools import combinations
-
 MAX_VERTICES = 62
 
 
@@ -69,9 +67,6 @@ class Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, rows)
-
-    def neighbors_mask(self, v):
-        return self.adj[v]
 
     def neighbors(self, v):
         return tuple(iter_bits(self.adj[v]))
@@ -416,8 +411,3 @@ def all_matchings(n):
                 yield ((u, v),) + m
 
     yield from rec(tuple(range(n)))
-
-
-def nonedges(g):
-    """Vertex pairs (u < v) that are not edges."""
-    return [(u, v) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)]

@@ -6,8 +6,10 @@ position at a time: after placing position j we know the whole j-th
 column of the upper triangle, so a running best-known column sequence
 prunes the placement tree (branch and bound with candidates ordered by
 their column bits).  Complete and edgeless graphs short-circuit, since
-every permutation ties.  Simple and auditable by brute force, which is
-the point; practical partition-refinement tools are out of scope.
+every permutation ties.  is_lex_min runs the same search against a known
+target to decide whether a labeling is already canonical, which is what
+the orderly enumeration needs.  Simple and auditable by brute force, which
+is the point; practical partition-refinement tools are out of scope.
 """
 
 from dataclasses import dataclass
@@ -17,6 +19,9 @@ from .graphs import Graph, graph6_encode
 MAX_CANON_VERTICES = 14
 
 _SENTINEL = 1 << 62
+
+# outcomes of a subtree of the is_lex_min search
+_SMALLER, _EXHAUSTED, _TIED_LEAF = range(3)
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,66 @@ def _lex_min_placement(n, adj):
 
     dfs(0, (1 << n) - 1, [0] * n)
     return best_perm
+
+
+def is_lex_min(n, adj):
+    """True when the identity labeling of adjacency rows adj is the canonical one.
+
+    The placement search of _lex_min_placement with the target columns
+    known in advance: they are the columns of the identity labeling.  A
+    placement whose column is below the target proves a smaller labeling
+    exists; only placements that tie the target are followed, and two
+    prunings drop tied placements whose subtree repeats one already searched:
+    a vertex with a lower twin still unplaced (swapping twins is an
+    automorphism fixing the placed prefix), and, below a sibling of the
+    identity path, everything after the first tied leaf (that leaf is an
+    automorphism mapping the searched identity subtree onto the sibling's).
+    """
+    if n <= 1:
+        return True
+    target = [0] * n
+    twins = [0] * n  # twins[j]: the i < j with the same neighbours as j apart from i and j
+    for j in range(1, n):
+        row = adj[j]
+        col = 0
+        for i in range(j):
+            col = (col << 1) | ((row >> i) & 1)
+            if row & ~(1 << i) == adj[i] & ~(1 << j):
+                twins[j] |= 1 << i
+        target[j] = col
+
+    def dfs(depth, remaining, acc, on_identity_path):
+        # acc[u] = column bits of u against the placed prefix
+        want = target[depth]
+        tied = []
+        m = remaining
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            col = acc[u]
+            if col < want:
+                return _SMALLER
+            if col == want and not twins[u] & remaining:
+                tied.append(u)
+            m ^= low
+        if depth + 1 == n:
+            return _TIED_LEAF if tied else _EXHAUSTED
+        for u in tied:
+            rem = remaining & ~(1 << u)
+            au = adj[u]
+            acc2 = acc.copy()
+            m = rem
+            while m:
+                low = m & -m
+                v = low.bit_length() - 1
+                acc2[v] = (acc2[v] << 1) | ((au >> v) & 1)
+                m ^= low
+            found = dfs(depth + 1, rem, acc2, on_identity_path and u == depth)
+            if found == _SMALLER or (found == _TIED_LEAF and not on_identity_path):
+                return found
+        return _EXHAUSTED
+
+    return dfs(0, (1 << n) - 1, [0] * n, True) != _SMALLER
 
 
 def _apply_relabeling(g, relabeling):

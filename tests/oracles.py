@@ -68,7 +68,7 @@ def labeled_connected_canonical(n, canon):
 
     canon: function Graph -> canonical graph6 string.  The generation route
     (all 2^C(n,2) labeled graphs, connectivity filter, dedup) is independent
-    of the extension-based enumerator it cross-checks.
+    of the orderly enumerator it cross-checks.
     """
     pairs = list(combinations(range(n), 2))
     out = set()

@@ -64,6 +64,9 @@ def test_enumerate_guards(capsys, monkeypatch):
     monkeypatch.setenv("KDOM_MAX_N", "5")
     code, _, err = run(capsys, "enumerate", "--n", "6")
     assert code == 2 and "KDOM_MAX_N" in err
+    monkeypatch.setenv("KDOM_MAX_N", "10")
+    code, _, err = run(capsys, "enumerate", "--n", "3", "--allow-large")
+    assert code == 2 and "KDOM_MAX_N=10" in err
 
 
 def test_verify_bound_text(capsys):

@@ -1,15 +1,15 @@
 import pytest
 
-from kdom import graph6_encode, is_connected
+from kdom import Graph, graph6_encode, is_connected
 from kdom.enumeration import connected_graphs
 from kdom.isomorphism import canonical_graph6
 
 from oracles import labeled_connected_canonical
 
-EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}  # OEIS A001349
 
 
-def test_level_counts_up_to_7():
+def test_level_counts_up_to_8():
     for n, count in EXPECTED_COUNTS.items():
         assert len(connected_graphs(n)) == count
 
@@ -37,6 +37,16 @@ def test_matches_labeled_brute_force_to_5():
         assert got == expect
 
 
+def test_matches_graph_atlas_to_7():
+    # the atlas lists every graph on up to 7 nodes once, built without kdom
+    nx = pytest.importorskip("networkx")
+    atlas = nx.graph_atlas_g()
+    for n in range(1, 8):
+        connected = [h for h in atlas if h.number_of_nodes() == n and nx.is_connected(h)]
+        expect = sorted(canonical_graph6(Graph.from_edges(n, h.edges())) for h in connected)
+        assert expect == [graph6_encode(g) for g in connected_graphs(n)]
+
+
 def test_guards(monkeypatch):
     with pytest.raises(ValueError):
         connected_graphs(0)
@@ -45,6 +55,9 @@ def test_guards(monkeypatch):
     monkeypatch.setenv("KDOM_MAX_N", "7")
     with pytest.raises(ValueError):
         connected_graphs(8)
+    monkeypatch.setenv("KDOM_MAX_N", "10")
+    with pytest.raises(ValueError, match="maximum 9"):
+        connected_graphs(3)
     monkeypatch.setenv("KDOM_MAX_N", "oops")
     with pytest.raises(ValueError):
         connected_graphs(3)

@@ -3,8 +3,19 @@ from itertools import combinations
 
 import pytest
 
-from kdom import Graph, complete, cycle, disjoint_union, graph6_decode, path, star
-from kdom.isomorphism import canonical_form, canonical_graph6, is_isomorphic
+from kdom import (
+    Graph,
+    complete,
+    complete_bipartite,
+    cycle,
+    disjoint_union,
+    graph6_decode,
+    graph6_encode,
+    path,
+    star,
+    wheel,
+)
+from kdom.isomorphism import canonical_form, canonical_graph6, is_isomorphic, is_lex_min
 
 from oracles import brute_min_graph6, labeled_connected_canonical
 
@@ -40,6 +51,36 @@ def test_matches_brute_force_minimum():
     for _ in range(40):
         g = random_graph(6, rng, p=rng.random())
         assert canonical_graph6(g) == brute_min_graph6(g)
+
+
+def test_is_lex_min_matches_brute_force():
+    rng = random.Random(14)
+    symmetric = [
+        Graph(6, [0] * 6),
+        complete(6),
+        star(5),
+        cycle(6),
+        wheel(6),
+        complete_bipartite(3, 3),
+        complete_bipartite(2, 4),
+        disjoint_union(complete(3), complete(3)),
+    ]
+    graphs = [random_graph(rng.randint(1, 6), rng, p=rng.random()) for _ in range(300)]
+    graphs += [permuted(g, rng) for g in symmetric for _ in range(4)]
+    graphs += [graph6_decode(canonical_graph6(g)) for g in symmetric]
+    for g in graphs:
+        assert is_lex_min(g.n, g.adj) == (graph6_encode(g) == brute_min_graph6(g))
+
+
+def test_is_lex_min_on_canonical_and_relabeled_graphs():
+    rng = random.Random(15)
+    for _ in range(200):
+        g = random_graph(rng.randint(1, 10), rng, p=rng.random())
+        canon = canonical_graph6(g)
+        assert is_lex_min(g.n, graph6_decode(canon).adj)
+        h = permuted(g, rng)
+        if graph6_encode(h) != canon:
+            assert not is_lex_min(h.n, h.adj)
 
 
 def test_permutation_invariance_500_trials():
