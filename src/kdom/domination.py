@@ -10,9 +10,13 @@ variant is always an explicit parameter:
   N[v] in S (double domination is k=2).  Infeasible when some |N[v]| < k.
 
 The minimum is found by branch and bound (branching on a most-constrained
-deficient vertex, candidates in descending-degree order), then the witness
-is re-derived as the lexicographically smallest minimum set by bitmask
-value, so results are reproducible.
+deficient vertex, candidates in descending-degree order).  The witness is
+then re-derived as the smallest minimum set by bitmask value, so results
+are reproducible: a depth-first search decides the vertices from n-1 down
+to 0, trying "exclude" before "include", so its leaves come in increasing
+numeric order and the first feasible one is the witness.  A branch is cut
+as soon as some vertex can no longer reach k from the remaining budget and
+the undecided vertices.
 """
 
 from dataclasses import dataclass
@@ -60,12 +64,12 @@ def is_k_tuple_dominating(g, s, k):
     return True
 
 
-def _requirement_rows(g, k, variant):
-    """Per-vertex rows whose intersection with S must reach k; None = exempt
-    when the vertex itself is in S (the k-domination rule)."""
+def _requirement_rows(g, variant):
+    """Per-vertex rows whose intersection with S must reach k: open
+    neighborhoods for k-domination, closed ones for k-tuple."""
     if variant == "k-domination":
-        return list(g.adj), True
-    return [row | (1 << v) for v, row in enumerate(g.adj)], False
+        return list(g.adj)
+    return [row | (1 << v) for v, row in enumerate(g.adj)]
 
 
 def _minimum_size(g, k, rows, exempt_members, start_mask):
@@ -110,42 +114,42 @@ def _minimum_size(g, k, rows, exempt_members, start_mask):
 
 
 def _lex_min_witness(g, k, rows, exempt_members, size, forced):
-    """Smallest feasible bitmask of the given popcount containing forced.
-
-    Fixed-popcount masks are scanned in increasing numeric order (Gosper's
-    hack over the free vertices; scattering through an increasing vertex
-    list preserves order, and OR-ing the disjoint forced mask is addition).
-    """
+    """Numerically smallest feasible bitmask of the given popcount
+    containing forced, by the ordered search the module docstring
+    describes; low holds the undecided vertices, v and those below it."""
     n = g.n
 
-    def feasible(mask):
+    def dead(chosen, low, budget):
         for v in range(n):
-            if exempt_members and (mask >> v) & 1:
+            bit = 1 << v
+            if exempt_members and chosen & bit:
                 continue
-            if (rows[v] & mask).bit_count() < k:
-                return False
-        return True
+            need = k - (rows[v] & chosen).bit_count()
+            if need <= 0:
+                continue
+            if exempt_members and budget and low & bit:
+                continue  # v can still discharge its requirement by joining S
+            if need > budget or (rows[v] & low).bit_count() < need:
+                return True
+        return False
 
-    free = [v for v in range(n) if not (forced >> v) & 1]
-    r = size - forced.bit_count()
-    if r == 0:
-        return forced
-    comb = (1 << r) - 1
-    limit = 1 << len(free)
-    while comb < limit:
-        mask = forced
-        m = comb
-        while m:
-            low = m & -m
-            mask |= 1 << free[low.bit_length() - 1]
-            m ^= low
-        if feasible(mask):
-            return mask
-        # Gosper: next larger int with the same popcount
-        c = comb & -comb
-        r_ = comb + c
-        comb = (((r_ ^ comb) >> 2) // c) | r_
-    raise AssertionError("no witness at the proven minimum size")
+    def dfs(v, chosen, budget):
+        if dead(chosen, ((1 << (v + 1)) - 1) & ~forced, budget):
+            return None
+        if budget == 0 or v < 0:
+            return chosen
+        bit = 1 << v
+        if forced & bit:
+            return dfs(v - 1, chosen, budget)
+        found = dfs(v - 1, chosen, budget)
+        if found is not None:
+            return found
+        return dfs(v - 1, chosen | bit, budget - 1)
+
+    mask = dfs(n - 1, forced, size - forced.bit_count())
+    if mask is None:
+        raise AssertionError("no witness at the proven minimum size")
+    return mask
 
 
 def gamma_k(g, k, variant):
@@ -155,7 +159,7 @@ def gamma_k(g, k, variant):
         raise ValueError("k must be >= 1")
     if g.n == 0:
         raise ValueError("gamma_k of the empty graph is undefined")
-    rows, closed = _requirement_rows(g, k, variant)
+    rows = _requirement_rows(g, variant)
     exempt = variant == "k-domination"
     if variant == "k-tuple":
         if any(row.bit_count() < k for row in rows):

@@ -63,6 +63,66 @@ def connected_by_sets(n, edge_set):
     return len(seen) == n
 
 
+def _connected_after_removal(g, removed):
+    """connected_by_sets on g minus the removed vertices, relabeled 0..m-1."""
+    index = {v: i for i, v in enumerate(v for v in range(g.n) if v not in removed)}
+    edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+    return connected_by_sets(len(index), edges)
+
+
+def brute_force_connectivity(g):
+    """Smallest removal set size that disconnects g, or n-1 when none does.
+
+    Scans removal sets by increasing size; guarded at n <= 12.
+    """
+    n = g.n
+    if n > 12:
+        raise ValueError(f"brute_force_connectivity guard exceeded: n={n} > 12")
+    for size in range(0, max(n - 1, 0)):
+        for removal in combinations(range(n), size):
+            if n - size >= 2 and not _connected_after_removal(g, set(removal)):
+                return size
+    return max(n - 1, 0)
+
+
+def _component(nbrs, start, removed):
+    """Vertices reachable from start in the graph minus removed."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for w in nbrs[u] - removed - seen:
+            seen.add(w)
+            stack.append(w)
+    return seen
+
+
+def brute_force_cut(g):
+    """(kappa, cut, separated) as vertex_connectivity defines its certificate.
+
+    separated is the lexicographically first non-adjacent pair (s, t)
+    that some removal set of size kappa separates; cut is the one such
+    set whose s-side component is inclusion-minimal.  Guarded at n <= 12.
+    """
+    kappa = brute_force_connectivity(g)
+    nbrs = neighbor_sets(g)
+    for s, t in combinations(range(g.n), 2):
+        if t in nbrs[s]:
+            continue
+        others = set(range(g.n)) - {s, t}
+        sides = {}
+        for cut in combinations(sorted(others), kappa):
+            side = _component(nbrs, s, set(cut))
+            if t not in side:
+                sides[cut] = side
+        if not sides:
+            continue
+        minimal = [cut for cut, side in sides.items() if not any(other < side for other in sides.values())]
+        assert len(minimal) == 1, (s, t, minimal)
+        return kappa, minimal[0], (s, t)
+    return kappa, (), None
+
+
 def labeled_connected_canonical(n, canon):
     """Canonical strings of every connected labeled graph on n vertices.
 

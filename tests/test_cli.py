@@ -1,6 +1,9 @@
+import hashlib
 import json
+import random
+from itertools import combinations
 
-from kdom import complete, remove_matching
+from kdom import Graph, complete, complete_bipartite, cycle, graph6_encode, remove_matching, wheel
 from kdom.cli import main
 from kdom.isomorphism import canonical_graph6
 
@@ -122,3 +125,33 @@ def test_usage_errors(capsys):
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+PETERSEN = Graph.from_edges(
+    10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)] + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+)
+
+# SHA-256 of the `invariants --json` output below; it pins every number,
+# witness, cut and separated pair, so a solver change must reproduce them.
+GOLDEN_INVARIANTS_SHA256 = "ea2cbb5ace06d00e618951f9d79df3f9fdd9ffedd86766645df97b1193c27079"
+
+
+def golden_graphs():
+    """40 seeded G(n, p) graphs with n 9..16, then symmetric graphs where
+    many pairs and witnesses tie."""
+    rng = random.Random(4404)
+    out = []
+    for i in range(40):
+        n = 9 + i % 8
+        p = (0.25, 0.4, 0.6, 0.85)[i % 4]
+        out.append(Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    return out + [complete_bipartite(5, 5), cycle(12), wheel(10), PETERSEN]
+
+
+def test_invariants_golden_output(capsys, tmp_path):
+    path = tmp_path / "golden.g6"
+    path.write_text("".join(graph6_encode(g) + "\n" for g in golden_graphs()))
+    code, out, _ = run(capsys, "invariants", "--file", str(path), "--json")
+    assert code == 0
+    assert len(json.loads(out)) == 44
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_INVARIANTS_SHA256

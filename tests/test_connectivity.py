@@ -18,7 +18,9 @@ from kdom import (
     star,
     wheel,
 )
-from kdom.connectivity import brute_force_connectivity, vertex_connectivity
+from kdom.connectivity import CutResult, vertex_connectivity
+
+from oracles import brute_force_connectivity, brute_force_cut
 
 
 def random_graph(n, rng, p=0.5):
@@ -85,6 +87,19 @@ def test_flow_equals_brute_force_random():
     for _ in range(120):
         g = random_graph(rng.randint(1, 7), rng, p=rng.random())
         assert vertex_connectivity(g).kappa == brute_force_connectivity(g)
+
+
+def test_cut_matches_brute_force_certificate():
+    rng = random.Random(33)
+    graphs = [random_graph(rng.randint(1, 9), rng, p=rng.uniform(0.3, 0.95)) for _ in range(150)]
+    graphs += [cycle(n) for n in range(3, 10)] + [wheel(n) for n in range(4, 10)]
+    graphs += [complete_bipartite(3, 3), complete_bipartite(2, 4), path(6), star(5), complete(4)]
+    # K_{3,4} plus a perfect matching on the 4-side is 4-regular with kappa 3
+    # (cut {0, 1, 2}), but the flows from vertex 0 to its non-neighbours 1
+    # and 2 read 4: only the flows between neighbours of 0 find 3
+    graphs.append(Graph.from_edges(7, complete_bipartite(3, 4).edges() + [(3, 4), (5, 6)]))
+    for g in graphs:
+        assert vertex_connectivity(g) == CutResult(*brute_force_cut(g)), g.edges()
 
 
 def test_kappa_at_most_min_degree():
