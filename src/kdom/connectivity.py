@@ -32,7 +32,7 @@ graphs are n-1 by convention, disconnected input is 0.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import is_connected, iter_bits
+from .graphs import component, iter_bits
 
 
 @dataclass(frozen=True)
@@ -128,15 +128,8 @@ def vertex_connectivity(g):
     n = g.n
     if n == 0:
         return CutResult(0, (), None)
-    if not is_connected(g):
-        comp = 1
-        frontier = 1
-        while frontier:
-            acc = 0
-            for v in iter_bits(frontier):
-                acc |= g.adj[v]
-            frontier = acc & ~comp
-            comp |= frontier
+    comp = component(g, 0)
+    if comp != (1 << n) - 1:
         other = next(v for v in range(n) if not (comp >> v) & 1)
         return CutResult(0, (), (0, other))
     if g.edge_count() == n * (n - 1) // 2:

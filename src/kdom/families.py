@@ -181,11 +181,18 @@ class _Parser:
             self.expect(",")
             n = self.expect("int")[1]
             self.expect("}")
-            return Bipartite(m, n)
-        kind, value, off = self.next()
-        if kind != "int":
-            raise FamilyParseError(f"expected a size after {letter!r}", off)
-        return Atom(letter, value)
+            atom = Bipartite(m, n)
+        else:
+            kind, value, off = self.next()
+            if kind != "int":
+                raise FamilyParseError(f"expected a size after {letter!r}", off)
+            atom = Atom(letter, value)
+        count = atom_vertex_count(atom)
+        if count > _g.MAX_VERTICES:
+            raise FamilyParseError(
+                f"{print_family(atom)} has {count} vertices, above the cap {_g.MAX_VERTICES}", offset
+            )
+        return atom
 
     def parse_attach(self, atom):
         open_off = self.peek()[2]

@@ -58,6 +58,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n, edges):
+        if not 0 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -281,19 +283,23 @@ def induced_subgraph(g, keep):
 # Basic invariants
 
 
-def is_connected(g):
-    """True when g has one component; degenerate n <= 1 counts as connected."""
-    if g.n <= 1:
-        return True
-    seen = 1
-    frontier = 1
+def component(g, v):
+    """Bitmask of the vertices in the component of v."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+    seen = frontier = 1 << v
     while frontier:
         acc = 0
-        for v in iter_bits(frontier):
-            acc |= g.adj[v]
+        for u in iter_bits(frontier):
+            acc |= g.adj[u]
         frontier = acc & ~seen
         seen |= frontier
-    return seen == (1 << g.n) - 1
+    return seen
+
+
+def is_connected(g):
+    """True when g has one component; degenerate n <= 1 counts as connected."""
+    return g.n <= 1 or component(g, 0) == (1 << g.n) - 1
 
 
 def min_degree(g):

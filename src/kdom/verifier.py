@@ -1,14 +1,14 @@
 """Exhaustive verification of the bound and the five characterizations.
 
-The enumerated connected graphs are the ground truth and the published
-lists are hypotheses under audit: characterize() computes the exact
-extremal sets gamma3+kappa = 2n-offset per level, check_theorem() diffs
-them against the catalog (confirmed / extra / missing, canonical-form
-keyed), verify_bound() checks gamma3+kappa <= 2n-1 everywhere, and
-audit_small_theorems() sweeps the small structural facts (the gamma3=n
-iff max-degree<=2 equivalence, 3<=gamma3<=n, kappa<=min-degree, the
-K_n minus matching values, and the classical gamma+kappa<=n bound as an
-incidental property).
+The enumerated connected graphs are the ground truth and the published lists
+are hypotheses under audit.  level_records(n), built once per process,
+tabulates g6, gamma3, kappa and min/max degree for each graph of level n,
+and every sweep filters it: characterize() takes the extremal sets
+gamma3+kappa = 2n-offset, check_theorem() diffs them against the catalog
+(confirmed / extra / missing, canonical-form keyed), verify_bound() checks
+gamma3+kappa <= 2n-1, and audit_small_theorems() checks gamma3=n iff
+max-degree<=2, 3<=gamma3<=n, kappa<=min-degree, the K_n minus matching
+values and gamma+kappa<=n (it computes gamma, which no other sweep reads).
 
 Reports are deterministic: identical inputs give byte-identical JSON.
 Levels start at n=3, the smallest order where the source bounds apply.
@@ -42,6 +42,8 @@ class GraphRecord:
     g6: str
     gamma3: int
     kappa: int
+    min_degree: int
+    max_degree: int
 
     @property
     def total(self):
@@ -53,10 +55,11 @@ class GraphRecord:
 
 @lru_cache(maxsize=None)
 def level_records(n):
-    """(g6, gamma3, kappa) for every connected graph on n vertices."""
+    """Invariant table of level n, one GraphRecord per graph in connected_graphs(n) order."""
     out = []
     for g in connected_graphs(n):
-        out.append(GraphRecord(graph6_encode(g), gamma3(g).number, vertex_connectivity(g).kappa))
+        g3, kappa = gamma3(g).number, vertex_connectivity(g).kappa
+        out.append(GraphRecord(graph6_encode(g), g3, kappa, min_degree(g), max_degree(g)))
     return tuple(out)
 
 
@@ -267,20 +270,17 @@ def audit_small_theorems(n_max=7):
     gk_fail = []
     checked = 0
     for n in range(_MIN_LEVEL, n_max + 1):
-        for g in connected_graphs(n):
+        for g, rec in zip(connected_graphs(n), level_records(n)):
             checked += 1
-            g6 = graph6_encode(g)
-            g3 = gamma3(g).number
-            if (g3 == n) != (max_degree(g) <= 2):
-                delta_fail.append((g6, g3, max_degree(g)))
-            if not 3 <= g3 <= n:
-                obs_fail.append((g6, g3))
-            kappa = vertex_connectivity(g).kappa
-            if kappa > min_degree(g):
-                kappa_fail.append((g6, kappa, min_degree(g)))
+            if (rec.gamma3 == n) != (rec.max_degree <= 2):
+                delta_fail.append((rec.g6, rec.gamma3, rec.max_degree))
+            if not 3 <= rec.gamma3 <= n:
+                obs_fail.append((rec.g6, rec.gamma3))
+            if rec.kappa > rec.min_degree:
+                kappa_fail.append((rec.g6, rec.kappa, rec.min_degree))
             gamma = gamma_k(g, 1, "k-domination").number
-            if gamma + kappa > n:
-                gk_fail.append((g6, gamma, kappa))
+            if gamma + rec.kappa > n:
+                gk_fail.append((rec.g6, gamma, rec.kappa))
 
     sweeps = []
     for n in range(5, 9):

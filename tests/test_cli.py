@@ -113,13 +113,21 @@ def test_audit(capsys):
     assert code == 1  # the Example 2.4 S2 note counts as a verbatim discrepancy
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     assert run(capsys, "invariants")[0] == 2  # no input graph
     assert run(capsys, "invariants", "--graph6", "!!!")[0] == 2
     assert run(capsys, "construct", "--family", "C2")[0] == 2
     assert run(capsys, "construct", "--family", "join(K1")[0] == 2
     assert run(capsys, "invariants", "--file", "/nonexistent/x.g6")[0] == 2
     assert main(["check-theorem", "9.9"]) == 2
+    # vertex counts above the 62-vertex cap are refused before any row is built
+    huge = tmp_path / "huge.edges"
+    huge.write_text("99999999999\n0 1\n")
+    code, _, err = run(capsys, "invariants", "--file", str(huge), "--format", "edgelist")
+    assert code == 2 and "99999999999" in err
+    for family in ("P99999999999", "K{40,30}", "join(K1,F31)"):
+        code, _, err = run(capsys, "construct", "--family", family)
+        assert code == 2 and "offset" in err, family
     assert main([]) == 2
 
 
@@ -155,3 +163,24 @@ def test_invariants_golden_output(capsys, tmp_path):
     assert code == 0
     assert len(json.loads(out)) == 44
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_INVARIANTS_SHA256
+
+
+# SHA-256 of each sweep's `--max-n 7 --json` output; they pin every record
+# of levels 3..7 that the sweeps read, so a change to how the verifier
+# gathers its invariants must reproduce them byte for byte.
+GOLDEN_SWEEPS_SHA256 = {
+    ("verify-bound",): "5da89f3523b9fe2241d89cd804ce5a6491c9c080cc8a7706ff953d7377e9052f",
+    ("audit",): "476204b09232acbf9163991df1098e0cf792d4eda4b229348aba1e0e575c8d37",
+    ("check-theorem", "3.1"): "03433fc25d87b6507c7148397ced1714e84044d32832ea646b01f4f609240bcb",
+    ("check-theorem", "3.2"): "2b9a552148e4cc545571299a9901fe31b117bc8e4df55cfa973a5711291889c1",
+    ("check-theorem", "3.3"): "73b54eb1e93fc7403e6a16c9258611cd16c0f15a028d0843dff058e9aac14a7e",
+    ("check-theorem", "3.4"): "0b34fa06ff737febe38c81409e6571087bc4abd0d2d6c35e24f248a63578a65b",
+    ("check-theorem", "3.5"): "a556540d3f7b212d8df9ed732853b416989516446ab85dd7b4f26186ade7f694",
+}
+
+
+def test_sweeps_golden_output(capsys):
+    for command, digest in GOLDEN_SWEEPS_SHA256.items():
+        code, out, _ = run(capsys, *command, "--max-n", "7", "--json")
+        assert code == 0, command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command

@@ -55,6 +55,9 @@ def test_disconnected_input():
     res = vertex_connectivity(disjoint_union(complete(3), complete(3)))
     assert res.kappa == 0 and res.cut == ()
     assert res.separated == (0, 3)
+    assert vertex_connectivity(Graph.from_edges(3, [(1, 2)])) == CutResult(0, (), (0, 1))
+    three = disjoint_union(disjoint_union(path(2), complete(1)), cycle(3))
+    assert vertex_connectivity(three) == CutResult(0, (), (0, 2))
     assert vertex_connectivity(Graph(0, ())).kappa == 0
 
 

@@ -27,6 +27,7 @@ from kdom import (
     star,
     wheel,
 )
+from kdom.graphs import component
 
 
 def random_graph(n, rng, p=0.5):
@@ -192,6 +193,8 @@ def test_is_connected():
     assert is_connected(path(1))
     assert is_connected(path(9))
     assert not is_connected(Graph.from_edges(3, [(0, 1)]))
+    g = Graph.from_edges(4, [(1, 2)])
+    assert component(g, 1) == 0b0110 and component(g, 3) == 0b1000
 
 
 def test_induced_subgraph():

@@ -1,6 +1,17 @@
 import json
 
-from kdom import complete, graph6_decode, remove_matching
+import kdom.verifier
+from kdom import (
+    complete,
+    connected_graphs,
+    gamma3,
+    graph6_decode,
+    graph6_encode,
+    max_degree,
+    min_degree,
+    remove_matching,
+    vertex_connectivity,
+)
 from kdom.isomorphism import canonical_graph6, is_isomorphic
 from kdom.verifier import (
     audit_small_theorems,
@@ -120,6 +131,38 @@ def test_level_records_cached_and_consistent():
     recs = level_records(5)
     assert len(recs) == 21
     assert level_records(5) is recs
+    for n in (5, 6):
+        graphs = connected_graphs(n)
+        assert len(level_records(n)) == len(graphs)
+        for g, rec in zip(graphs, level_records(n)):
+            assert rec.g6 == graph6_encode(g)  # connected_graphs(n) order
+            assert (rec.gamma3, rec.kappa, rec.min_degree, rec.max_degree) == (
+                gamma3(g).number,
+                vertex_connectivity(g).kappa,
+                min_degree(g),
+                max_degree(g),
+            ), rec.g6
+
+
+def test_audit_reads_the_level_table(monkeypatch):
+    for n in range(3, 7):
+        level_records(n)
+
+    def unexpected(g):
+        raise AssertionError("the audit must read this invariant from level_records")
+
+    for name in ("vertex_connectivity", "min_degree", "max_degree"):
+        monkeypatch.setattr(kdom.verifier, name, unexpected)
+    calls = []
+
+    def counting_gamma3(g):
+        calls.append(g)
+        return gamma3(g)
+
+    monkeypatch.setattr(kdom.verifier, "gamma3", counting_gamma3)
+    assert audit_small_theorems(6).clean
+    # only the K_n minus matching sweep (n = 5..8) and the figure graphs G1, G2
+    assert len(calls) == 26 + 76 + 232 + 764 + 2
 
 
 def test_audit_small_theorems():
