@@ -12,7 +12,8 @@ Grammar (whitespace-insensitive, family letters case-sensitive):
 
 An atom followed by a slot list is the pendant-path attachment notation;
 the slot count must equal the atom's vertex count, as in C4(P2,2P3,P4,P3).
-Parse errors carry the byte offset of the offending token.
+Functions nest at most MAX_NESTING deep.  Parse errors carry the byte
+offset of the offending token.
 """
 
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from . import graphs as _g
 
 FUNCTIONS = ("complement", "union", "join", "sum", "minus_matching")
 FAMILY_LETTERS = ("K", "P", "C", "W", "F")
+MAX_NESTING = 100  # functions inside functions; keeps parsing and evaluation off the recursion limit
 
 
 class FamilyParseError(ValueError):
@@ -132,12 +134,14 @@ class _Parser:
             raise FamilyParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
-    def parse_expr(self):
+    def parse_expr(self, depth=0):
         kind, value, offset = self.peek()
         if kind != "name":
             raise FamilyParseError(f"expected a family or function name, found {value!r}", offset)
         if value in FUNCTIONS:
-            return self.parse_func()
+            if depth == MAX_NESTING:
+                raise FamilyParseError(f"functions nested deeper than {MAX_NESTING}", offset)
+            return self.parse_func(depth + 1)
         if value in FAMILY_LETTERS:
             atom = self.parse_atom()
             if self.peek()[0] == "(":
@@ -145,21 +149,21 @@ class _Parser:
             return atom
         raise FamilyParseError(f"unknown name {value!r}", offset)
 
-    def parse_func(self):
+    def parse_func(self, depth):
         _, name, offset = self.next()
         self.expect("(")
         if name == "complement":
-            inner = self.parse_expr()
+            inner = self.parse_expr(depth)
             self.expect(")")
             return Complement(inner)
         if name in ("union", "join", "sum"):
-            left = self.parse_expr()
+            left = self.parse_expr(depth)
             self.expect(",")
-            right = self.parse_expr()
+            right = self.parse_expr(depth)
             self.expect(")")
             return Union(left, right) if name == "union" else Join(left, right)
         # minus_matching
-        inner = self.parse_expr()
+        inner = self.parse_expr(depth)
         self.expect(",")
         kind, value, off = self.next()
         if kind == "int":

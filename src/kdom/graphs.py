@@ -3,7 +3,7 @@
 Vertices are the integers 0..n-1 and adjacency is one int bitmask per
 vertex, so a graph fits in a tuple of at most 62 ints.  Graphs are value
 objects: construction validates, instances never change, and equality is
-labeled bit equality.  Isomorphism lives in kdom.isomorphism.
+labeled bit equality.  Canonical forms live in kdom.isomorphism.
 """
 
 MAX_VERTICES = 62
@@ -139,11 +139,6 @@ def complete_bipartite(m, n):
     return Graph(m + n, tuple(right if v < m else left for v in range(m + n)))
 
 
-def star(n):
-    """K_{1,n}: hub 0 with n leaves."""
-    return complete_bipartite(1, n)
-
-
 def wheel(n):
     """Wheel on n vertices: hub n-1 joined to every vertex of cycle(n-1)."""
     if n < 4:
@@ -265,20 +260,6 @@ def attach_pendant_paths(g, specs):
     return Graph(len(rows), rows)
 
 
-def induced_subgraph(g, keep):
-    """Subgraph induced by a vertex subset, relabeled to 0..k-1 in ascending order."""
-    m = as_mask(g.n, keep)
-    old = list(iter_bits(m))
-    index = {v: i for i, v in enumerate(old)}
-    rows = []
-    for v in old:
-        row = 0
-        for u in iter_bits(g.adj[v] & m):
-            row |= 1 << index[u]
-        rows.append(row)
-    return Graph(len(old), rows)
-
-
 # ---------------------------------------------------------------------------
 # Basic invariants
 
@@ -395,12 +376,6 @@ def parse_edge_list(text):
             raise ValueError(f"bad edge-list line {ln!r}")
         edges.append((int(parts[0]), int(parts[1])))
     return Graph.from_edges(n, edges)
-
-
-def format_edge_list(g):
-    lines = [str(g.n)]
-    lines += [f"{u} {v}" for u, v in g.edges()]
-    return "\n".join(lines) + "\n"
 
 
 def all_matchings(n):

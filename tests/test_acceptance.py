@@ -18,7 +18,6 @@ from kdom import (
     join,
     path,
     remove_matching,
-    star,
 )
 from kdom.catalog import checked_catalog
 from kdom.cli import main
@@ -145,7 +144,7 @@ def test_criterion_06_theorem_34_audit():
         "K5-2e": remove_matching(complete(5), [(0, 1), (2, 3)]),
         "P5": path(5),
         "C3(P2,0,0)": attach_pendant_paths(cycle(3), [(0, 1, 2)]),
-        "K{1,3}": star(3),
+        "K{1,3}": complete_bipartite(1, 3),
         "K1+P4": join(complete(1), path(4)),
         "C5+e": Graph.from_edges(5, cycle(5).edges() + [(0, 2)]),
     }
@@ -166,7 +165,7 @@ def test_criterion_07_theorem_35_audit():
         "K{2,3}": complete_bipartite(2, 3),
         "K2+3K1": join(complete(2), Graph(3, (0, 0, 0))),
         "F2": friendship(2),
-        "K{1,4}": star(4),
+        "K{1,4}": complete_bipartite(1, 4),
         "C4(P2,0,0,0)": attach_pendant_paths(cycle(4), [(0, 1, 2)]),
         "P3(0,P3,0)": attach_pendant_paths(path(3), [(1, 1, 3)]),
         "C3(2P2,0,0)": attach_pendant_paths(cycle(3), [(0, 2, 2)]),

@@ -128,6 +128,10 @@ def test_usage_errors(capsys, tmp_path):
     for family in ("P99999999999", "K{40,30}", "join(K1,F31)"):
         code, _, err = run(capsys, "construct", "--family", family)
         assert code == 2 and "offset" in err, family
+    # deep nesting is refused at the first function past the limit, not by a RecursionError
+    deep = "complement(" * 3000 + "K1" + ")" * 3000
+    code, _, err = run(capsys, "construct", "--family", deep)
+    assert code == 2 and "nested deeper" in err and "offset 1100" in err
     assert main([]) == 2
 
 

@@ -10,17 +10,14 @@ from kdom import (
     cycle,
     disjoint_union,
     friendship,
-    induced_subgraph,
-    is_connected,
     join,
     min_degree,
     path,
-    star,
     wheel,
 )
 from kdom.connectivity import CutResult, vertex_connectivity
 
-from oracles import brute_force_connectivity, brute_force_cut
+from oracles import _connected_after_removal, brute_force_connectivity, brute_force_cut
 
 
 def random_graph(n, rng, p=0.5):
@@ -33,7 +30,7 @@ def test_known_values():
     assert vertex_connectivity(path(5)).kappa == 1
     assert vertex_connectivity(cycle(4)).kappa == 2
     assert vertex_connectivity(cycle(6)).kappa == 2
-    assert vertex_connectivity(star(3)).kappa == 1
+    assert vertex_connectivity(complete_bipartite(1, 3)).kappa == 1
     assert vertex_connectivity(friendship(2)).kappa == 1
     assert vertex_connectivity(wheel(6)).kappa == 3
 
@@ -77,9 +74,7 @@ def test_cut_certificate_disconnects():
         res = vertex_connectivity(g)
         if res.separated is None:
             continue  # complete graph, no cut
-        keep = set(range(g.n)) - set(res.cut)
-        rest = induced_subgraph(g, keep)
-        assert not is_connected(rest) or rest.n <= 1
+        assert not _connected_after_removal(g, set(res.cut))
         assert len(res.cut) == res.kappa
         u, v = res.separated
         assert u not in res.cut and v not in res.cut
@@ -96,7 +91,7 @@ def test_cut_matches_brute_force_certificate():
     rng = random.Random(33)
     graphs = [random_graph(rng.randint(1, 9), rng, p=rng.uniform(0.3, 0.95)) for _ in range(150)]
     graphs += [cycle(n) for n in range(3, 10)] + [wheel(n) for n in range(4, 10)]
-    graphs += [complete_bipartite(3, 3), complete_bipartite(2, 4), path(6), star(5), complete(4)]
+    graphs += [complete_bipartite(3, 3), complete_bipartite(2, 4), path(6), complete_bipartite(1, 5), complete(4)]
     # K_{3,4} plus a perfect matching on the 4-side is 4-regular with kappa 3
     # (cut {0, 1, 2}), but the flows from vertex 0 to its non-neighbours 1
     # and 2 read 4: only the flows between neighbours of 0 find 3
@@ -113,5 +108,5 @@ def test_kappa_at_most_min_degree():
 
 
 def test_join_with_k1_increments_kappa():
-    for g in (path(4), cycle(5), complete_bipartite(2, 3), star(3)):
+    for g in (path(4), cycle(5), complete_bipartite(2, 3), complete_bipartite(1, 3)):
         assert vertex_connectivity(join(complete(1), g)).kappa == vertex_connectivity(g).kappa + 1

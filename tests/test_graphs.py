@@ -11,12 +11,10 @@ from kdom import (
     complete_bipartite,
     cycle,
     disjoint_union,
-    format_edge_list,
     friendship,
     graph6_decode,
     graph6_encode,
     greedy_matching,
-    induced_subgraph,
     is_connected,
     join,
     max_degree,
@@ -24,7 +22,6 @@ from kdom import (
     parse_edge_list,
     path,
     remove_matching,
-    star,
     wheel,
 )
 from kdom.graphs import component
@@ -89,8 +86,8 @@ def test_complete_and_bipartite():
     assert complete(4).edge_count() == 6
     k23 = complete_bipartite(2, 3)
     assert sorted(k23.degree(v) for v in range(5)) == [2, 2, 2, 3, 3]
-    assert star(3).edge_count() == 3
-    assert min_degree(star(3)) == 1
+    assert complete_bipartite(1, 3).edge_count() == 3
+    assert min_degree(complete_bipartite(1, 3)) == 1
 
 
 def test_wheel():
@@ -197,12 +194,6 @@ def test_is_connected():
     assert component(g, 1) == 0b0110 and component(g, 3) == 0b1000
 
 
-def test_induced_subgraph():
-    g = cycle(5)
-    sub = induced_subgraph(g, [0, 1, 2])
-    assert sub.edges() == [(0, 1), (1, 2)]
-
-
 # ---------------------------------------------------------------------------
 # graph6
 
@@ -243,8 +234,8 @@ def test_graph6_malformed():
 
 
 def test_edge_list_round_trip():
-    g = wheel(6)
-    assert parse_edge_list(format_edge_list(g)) == g
+    assert parse_edge_list("4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n") == complete(4)
+    assert parse_edge_list("6\n0 5\n1 5\n\n2 4\n") == Graph.from_edges(6, [(0, 5), (1, 5), (2, 4)])
     assert parse_edge_list("2\n0 1\n") == Graph.from_edges(2, [(0, 1)])
     with pytest.raises(ValueError):
         parse_edge_list("")
