@@ -11,13 +11,12 @@ and a fails-target note is attached to every entry that misses its target.
 Nothing is silently corrected.
 """
 
-import json
 from dataclasses import dataclass
 
 from .connectivity import vertex_connectivity
 from .domination import gamma3
 from .families import build_family
-from .graphs import Graph, cycle, graph6_encode, is_connected
+from .graphs import Graph, cycle, is_connected
 from .isomorphism import canonical_graph6
 
 THEOREM_OFFSETS = {"3.1": 1, "3.2": 2, "3.3": 3, "3.4": 4, "3.5": 5}
@@ -239,30 +238,3 @@ def canonical_names(entries):
     for entry in entries:
         out.setdefault(canonical_graph6(entry.graph), set()).add(entry.name)
     return {key: sorted(names) for key, names in out.items()}
-
-
-def catalog_json(entries, notes):
-    """The catalog as stable JSON text."""
-    by_entry = {}
-    for nt in notes:
-        by_entry.setdefault((nt.theorem, nt.entry), []).append(
-            {"kind": nt.kind, "detail": nt.detail}
-        )
-    rows = []
-    for entry in entries:
-        total = entry.expected_gamma3 + entry.expected_kappa
-        rows.append(
-            {
-                "name": entry.name,
-                "theorem": entry.theorem,
-                "graph6": graph6_encode(entry.graph),
-                "n": entry.expected_n,
-                "gamma3": entry.expected_gamma3,
-                "kappa": entry.expected_kappa,
-                "sum": total,
-                "source": entry.source,
-                "notes": by_entry.get((entry.theorem, entry.name), []),
-            }
-        )
-    rows.sort(key=lambda r: (r["theorem"], r["name"]))
-    return json.dumps(rows, indent=2, sort_keys=True) + "\n"

@@ -9,19 +9,35 @@ variant is always an explicit parameter:
 - "k-tuple": every vertex of V has at least k of its closed neighborhood
   N[v] in S (double domination is k=2).  Infeasible when some |N[v]| < k.
 
-The minimum is found by branch and bound (branching on a most-constrained
-deficient vertex, candidates in descending-degree order).  The witness is
-then re-derived as the smallest minimum set by bitmask value, so results
-are reproducible: a depth-first search decides the vertices from n-1 down
-to 0, trying "exclude" before "include", so its leaves come in increasing
-numeric order and the first feasible one is the witness.  A branch is cut
-as soon as some vertex can no longer reach k from the remaining budget and
-the undecided vertices.
+One branch and bound finds the minimum size and the witness, the smallest
+minimum set by bitmask value, so results are reproducible.  A node holds
+the chosen and the banned vertices.  It branches on a most-constrained
+deficient vertex: each candidate that could still serve it, in
+descending-degree order, is added in turn and banned in the later
+branches.  The incumbent starts as V, feasible for every solvable
+instance; a feasible node replaces it when smaller, or the same size with
+a lower mask.  This is exact:
+
+- The branches partition the feasible supersets of chosen that avoid
+  banned: each such set holds a candidate, so it falls in the branch of
+  its first one.
+- Every completion S of chosen satisfies S >= chosen numerically.
+- So a node is cut when its lower bound exceeds the incumbent's size,
+  or equals it and chosen >= the incumbent's mask: it holds only sets
+  that are larger, or tie with a mask no lower.
+
+The completion's size is bounded by counting, the residual form of
+gamma_k >= k*n / (Delta + k) (Fink and Jacobson, "n-Domination in
+graphs", 1985).  Let D be the sum of the deficient vertices' needs.  One
+added vertex u lowers D by at most g: the number of deficient rows that
+hold u, plus u's own need in the k-domination variant.  Needs only shrink
+further down, so at least ceil(D / g) vertices remain to add.  On cycles
+and paths the bound is tight, which keeps C62 and P62 to seconds.
 """
 
 from dataclasses import dataclass
 
-from .graphs import as_mask, iter_bits
+from .graphs import as_mask, iter_bits, mask_of
 
 VARIANTS = ("k-domination", "k-tuple")
 
@@ -72,22 +88,28 @@ def _requirement_rows(g, variant):
     return [row | (1 << v) for v, row in enumerate(g.adj)]
 
 
-def _minimum_size(g, k, rows, exempt_members, start_mask):
-    """Branch and bound for the minimum feasible size; exact by exhaustion."""
+def _search(g, k, rows, exempt_members, forced):
+    """(size, mask) of the numerically smallest minimum feasible set that
+    contains forced, by the branch and bound the module docstring describes."""
     n = g.n
     degs = [row.bit_count() for row in g.adj]
-    best = n  # S = V is feasible for every solvable instance
+    full = (1 << n) - 1
+    most = max(row.bit_count() for row in rows) + (k if exempt_members else 0)  # no drop exceeds it
+    best, best_mask = n, full  # V is feasible for every solvable instance
 
-    def dfs(chosen, banned, size):
-        nonlocal best
-        if size >= best:
+    def dfs(chosen, banned, size, pending):
+        # pending: the parent's deficient vertices; needs only shrink below it
+        nonlocal best, best_mask
+        if size > best or (size == best and chosen >= best_mask):
             return
         pick = None
         pick_opts = None
         pick_width = None
-        for v in range(n):
-            if exempt_members and (chosen >> v) & 1:
-                continue
+        deficient = 0
+        total = 0
+        if exempt_members:
+            pending &= ~chosen
+        for v in iter_bits(pending):
             need = k - (rows[v] & chosen).bit_count()
             if need <= 0:
                 continue
@@ -97,59 +119,37 @@ def _minimum_size(g, k, rows, exempt_members, start_mask):
                 opts |= 1 << v
             elif opts.bit_count() < need:
                 return  # this vertex can no longer be satisfied
+            deficient |= 1 << v
+            total += need
             avail = opts.bit_count()
             if pick_width is None or avail < pick_width:
                 pick, pick_opts, pick_width = v, opts, avail
         if pick is None:
-            best = size
+            best, best_mask = size, chosen
+            return
+        # the counting bound: rows are symmetric, so rows[u] & deficient are
+        # the deficient rows holding u.  Every deficient vertex kept a free
+        # option above (the infeasibility check), so gain >= 1.
+        gain = 0
+        for u in iter_bits(full & ~(chosen | banned)):
+            drop = (rows[u] & deficient).bit_count()
+            if exempt_members and (deficient >> u) & 1:
+                drop += k - (rows[u] & chosen).bit_count()
+            if drop > gain:
+                gain = drop
+                if gain == most:
+                    break
+        lower = size - (-total // gain)
+        if lower > best or (lower == best and chosen >= best_mask):
             return
         cands = sorted(iter_bits(pick_opts), key=lambda u: (-degs[u], u))
         banned2 = banned
         for u in cands:
-            dfs(chosen | (1 << u), banned2, size + 1)
+            dfs(chosen | (1 << u), banned2, size + 1, deficient)
             banned2 |= 1 << u
 
-    dfs(start_mask, 0, start_mask.bit_count())
-    return best
-
-
-def _lex_min_witness(g, k, rows, exempt_members, size, forced):
-    """Numerically smallest feasible bitmask of the given popcount
-    containing forced, by the ordered search the module docstring
-    describes; low holds the undecided vertices, v and those below it."""
-    n = g.n
-
-    def dead(chosen, low, budget):
-        for v in range(n):
-            bit = 1 << v
-            if exempt_members and chosen & bit:
-                continue
-            need = k - (rows[v] & chosen).bit_count()
-            if need <= 0:
-                continue
-            if exempt_members and budget and low & bit:
-                continue  # v can still discharge its requirement by joining S
-            if need > budget or (rows[v] & low).bit_count() < need:
-                return True
-        return False
-
-    def dfs(v, chosen, budget):
-        if dead(chosen, ((1 << (v + 1)) - 1) & ~forced, budget):
-            return None
-        if budget == 0 or v < 0:
-            return chosen
-        bit = 1 << v
-        if forced & bit:
-            return dfs(v - 1, chosen, budget)
-        found = dfs(v - 1, chosen, budget)
-        if found is not None:
-            return found
-        return dfs(v - 1, chosen | bit, budget - 1)
-
-    mask = dfs(n - 1, forced, size - forced.bit_count())
-    if mask is None:
-        raise AssertionError("no witness at the proven minimum size")
-    return mask
+    dfs(forced, 0, forced.bit_count(), full)
+    return best, best_mask
 
 
 def gamma_k(g, k, variant):
@@ -161,18 +161,11 @@ def gamma_k(g, k, variant):
         raise ValueError("gamma_k of the empty graph is undefined")
     rows = _requirement_rows(g, variant)
     exempt = variant == "k-domination"
-    if variant == "k-tuple":
-        if any(row.bit_count() < k for row in rows):
-            return DominationResult(None, None, variant, k, feasible=False)
-        forced = 0
-    else:
-        # a vertex of degree < k can never be dominated from outside
-        forced = 0
-        for v in range(g.n):
-            if g.adj[v].bit_count() < k:
-                forced |= 1 << v
-    size = _minimum_size(g, k, rows, exempt, forced)
-    mask = _lex_min_witness(g, k, rows, exempt, size, forced)
+    if not exempt and any(row.bit_count() < k for row in rows):
+        return DominationResult(None, None, variant, k, feasible=False)
+    # in k-domination a vertex of degree < k can never be dominated from outside
+    forced = mask_of(v for v, row in enumerate(g.adj) if exempt and row.bit_count() < k)
+    size, mask = _search(g, k, rows, exempt, forced)
     return DominationResult(size, tuple(iter_bits(mask)), variant, k)
 
 

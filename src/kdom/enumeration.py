@@ -23,33 +23,18 @@ two last vertices would give a smaller string.  The connected level is the
 kept graphs that are connected.  Levels are cached, so repeat calls are
 free within a process.
 
-Guards: n <= 8 by default, allow_large=True lifts it to the hard ceiling
-(env KDOM_MAX_N, default and maximum 9).
+Guards: n <= 8 by default; allow_large=True (`kdom enumerate
+--allow-large`) lifts it to the hard ceiling 9.
 """
-
-import os
 
 from .graphs import Graph, is_connected
 from .isomorphism import is_lex_min
 
 DEFAULT_GUARD = 8
-MAX_CEILING = 9  # default and largest KDOM_MAX_N: level 10 needs about 12M graphs and hours
+MAX_CEILING = 9  # level 10 needs about 12M graphs and hours
 
 _all_levels: dict[int, tuple] = {1: (Graph(1, (0,)),)}  # every graph, canonical labeling
 _levels: dict[int, tuple] = {1: _all_levels[1]}  # the connected ones
-
-
-def _hard_ceiling():
-    raw = os.environ.get("KDOM_MAX_N")
-    if raw is None:
-        return MAX_CEILING
-    try:
-        ceiling = int(raw)
-    except ValueError:
-        raise ValueError(f"KDOM_MAX_N must be an integer, got {raw!r}") from None
-    if ceiling > MAX_CEILING:
-        raise ValueError(f"KDOM_MAX_N={ceiling} exceeds the maximum {MAX_CEILING}")
-    return ceiling
 
 
 def _column(row, j):
@@ -82,12 +67,12 @@ def connected_graphs(n, allow_large=False):
     """
     if n < 1:
         raise ValueError("connected_graphs requires n >= 1")
-    ceiling = _hard_ceiling()
-    if n > ceiling:
-        raise ValueError(f"n={n} exceeds the hard ceiling KDOM_MAX_N={ceiling}")
+    if n > MAX_CEILING:
+        raise ValueError(f"n={n} exceeds the hard ceiling {MAX_CEILING}")
     if n > DEFAULT_GUARD and not allow_large:
         raise ValueError(
-            f"n={n} exceeds the default guard {DEFAULT_GUARD}; pass allow_large=True"
+            f"n={n} exceeds the default guard {DEFAULT_GUARD}; only `kdom enumerate "
+            f"--allow-large` or connected_graphs(n, allow_large=True) reach n={MAX_CEILING}"
         )
     for m in range(2, n + 1):
         if m not in _levels:

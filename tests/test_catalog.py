@@ -1,10 +1,7 @@
-import json
-
 from kdom import is_connected
 from kdom.catalog import (
     THEOREM_OFFSETS,
     canonical_names,
-    catalog_json,
     checked_catalog,
     notes_for,
 )
@@ -102,16 +99,6 @@ def test_notes_sorted_and_deterministic():
     assert notes1 == notes2
     keys = [(nt.theorem, nt.entry, nt.kind, nt.detail) for nt in notes1]
     assert keys == sorted(keys)
-
-
-def test_catalog_json_schema():
-    entries, notes = checked_catalog()
-    rows = json.loads(catalog_json(entries, notes))
-    assert len(rows) == len(entries)
-    for row in rows:
-        assert set(row) == {"name", "theorem", "graph6", "n", "gamma3", "kappa", "sum", "source", "notes"}
-        assert row["sum"] == row["gamma3"] + row["kappa"]
-    assert catalog_json(entries, notes) == catalog_json(*checked_catalog())
 
 
 def test_canonical_names_lookup():

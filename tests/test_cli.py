@@ -46,6 +46,18 @@ def test_invariants_graph6_and_file(capsys, tmp_path):
     assert code == 0 and "gamma3: 3" in out
 
 
+def test_invariants_long_cycle_and_path(capsys):
+    # the counting bound keeps the largest cycle and path the guards admit to seconds
+    for family, kappa in (("C62", 2), ("P62", 1)):
+        code, out, _ = run(capsys, "invariants", "--family", family, "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["gamma"]["number"] == 21
+        assert data["double_domination"]["number"] == 42
+        assert data["gamma3"]["number"] == 62
+        assert data["kappa"]["kappa"] == kappa
+
+
 def test_construct(capsys):
     code, out, _ = run(capsys, "construct", "--family", "minus_matching(K6,perfect)")
     assert code == 0
@@ -61,15 +73,14 @@ def test_enumerate(capsys):
     assert len(lines) == 6 and lines == sorted(lines)
 
 
-def test_enumerate_guards(capsys, monkeypatch):
+def test_enumerate_guards(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "9")
-    assert code == 2 and "allow_large" in err
-    monkeypatch.setenv("KDOM_MAX_N", "5")
-    code, _, err = run(capsys, "enumerate", "--n", "6")
-    assert code == 2 and "KDOM_MAX_N" in err
-    monkeypatch.setenv("KDOM_MAX_N", "10")
-    code, _, err = run(capsys, "enumerate", "--n", "3", "--allow-large")
-    assert code == 2 and "KDOM_MAX_N=10" in err
+    assert code == 2 and "--allow-large" in err
+    code, _, err = run(capsys, "enumerate", "--n", "10", "--allow-large")
+    assert code == 2 and "hard ceiling 9" in err
+    # the sweeps have no --allow-large; the message must not suggest one
+    code, _, err = run(capsys, "verify-bound", "--max-n", "9")
+    assert code == 2 and "kdom enumerate --allow-large" in err
 
 
 def test_verify_bound_text(capsys):

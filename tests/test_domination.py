@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from kdom import Graph, complete, complete_bipartite, cycle, path, remove_matching, wheel
+from kdom import Graph, complete, complete_bipartite, cycle, disjoint_union, path, remove_matching, wheel
 from kdom.domination import DominationResult, gamma3, gamma_k, is_k_dominating, is_k_tuple_dominating
 
 from oracles import naive_min_dominating
@@ -89,6 +89,18 @@ def test_gamma3_assorted():
     assert gamma3(paw).number == 3
 
 
+def test_cycles_and_paths_closed_forms():
+    # gamma(C_n) = gamma(P_n) = ceil(n/3), double domination of C_n is ceil(2n/3)
+    for n in [*range(3, 31), 40, 46]:
+        for g in (cycle(n), path(n)):
+            res = gamma_k(g, 1, "k-domination")
+            assert res.number == -(-n // 3), (g, n)
+            assert is_k_dominating(g, res.witness, 1)
+        res = gamma_k(cycle(n), 2, "k-tuple")
+        assert res.number == -(-2 * n // 3), n
+        assert is_k_tuple_dominating(cycle(n), res.witness, 2)
+
+
 def test_small_graphs_take_whole_vertex_set():
     assert gamma3(path(1)).number == 1
     assert gamma3(path(2)).number == 2
@@ -142,10 +154,24 @@ def test_witnesses_pass_their_checker():
                 assert is_k_tuple_dominating(g, tup.witness, k)
 
 
+PETERSEN = Graph.from_edges(
+    10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)] + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+)
+
+
+def tied_graphs():
+    """Graphs with many minimum sets, where only the lex-min one is the witness."""
+    c4 = cycle(4)
+    yield from (cycle(n) for n in range(3, 13))
+    yield from (path(n) for n in range(2, 13))
+    yield from (complete_bipartite(a, b) for a in range(1, 6) for b in range(1, 6))
+    yield from (disjoint_union(c4, c4), disjoint_union(c4, disjoint_union(c4, c4)), PETERSEN)
+
+
 def test_oracle_equivalence_random():
     rng = random.Random(23)
-    for _ in range(50):
-        g = random_graph(rng.randint(1, 12), rng, p=rng.random())
+    graphs = [random_graph(rng.randint(1, 12), rng, p=rng.random()) for _ in range(50)]
+    for g in graphs + list(tied_graphs()):
         for k in (1, 2, 3):
             for variant in ("k-domination", "k-tuple"):
                 res = gamma_k(g, k, variant)
@@ -153,4 +179,4 @@ def test_oracle_equivalence_random():
                 if expect is None:
                     assert not res.feasible
                 else:
-                    assert (res.number, res.witness) == expect
+                    assert (res.number, res.witness) == expect, (g, k, variant)

@@ -47,19 +47,11 @@ def test_matches_graph_atlas_to_7():
         assert expect == [graph6_encode(g) for g in connected_graphs(n)]
 
 
-def test_guards(monkeypatch):
+def test_guards():
     with pytest.raises(ValueError):
         connected_graphs(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="allow-large"):
         connected_graphs(9)
-    monkeypatch.setenv("KDOM_MAX_N", "7")
-    with pytest.raises(ValueError):
-        connected_graphs(8)
-    monkeypatch.setenv("KDOM_MAX_N", "10")
-    with pytest.raises(ValueError, match="maximum 9"):
-        connected_graphs(3)
-    monkeypatch.setenv("KDOM_MAX_N", "oops")
-    with pytest.raises(ValueError):
-        connected_graphs(3)
-    monkeypatch.delenv("KDOM_MAX_N")
+    with pytest.raises(ValueError, match="hard ceiling 9"):
+        connected_graphs(10, allow_large=True)
     assert len(connected_graphs(3)) == 2
