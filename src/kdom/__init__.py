@@ -23,7 +23,7 @@ from .graphs import (
     remove_matching,
     wheel,
 )
-from .catalog import CatalogEntry, DiscrepancyNote, build_catalog, checked_catalog, self_check
+from .catalog import CatalogEntry, DiscrepancyNote, checked_catalog
 from .connectivity import CutResult, vertex_connectivity
 from .domination import (
     DominationResult,
@@ -40,9 +40,7 @@ from .verifier import audit_small_theorems, characterize, check_theorem, verify_
 __all__ = [
     "CatalogEntry",
     "DiscrepancyNote",
-    "build_catalog",
     "checked_catalog",
-    "self_check",
     "CutResult",
     "vertex_connectivity",
     "DominationResult",

@@ -4,14 +4,16 @@ Every graph a theorem statement, proof, or figure names is transcribed as
 a machine-checkable entry: family recipes go through the DSL, figure
 graphs are explicit edge lists keyed to their figure id (read from the
 drawing coordinates, since several overline labels disagree with what is
-drawn).  self_check computes n, gamma3, kappa for each entry and compares
-gamma3+kappa against the theorem's 2n-offset target; static transcription
-notes record label mismatches, proof-only members, and figure duplicates,
-and a fails-target note is attached to every entry that misses its target.
-Nothing is silently corrected.
+drawn).  checked_catalog() builds the table once per process: each entry
+is frozen with its graph, canonical graph6, gamma3 and kappa, and
+gamma3+kappa is compared against the theorem's 2n-offset target.  Static
+transcription notes record label mismatches, proof-only members, and
+figure duplicates, and a fails-target note is attached to every entry that
+misses its target.  Nothing is silently corrected.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .connectivity import vertex_connectivity
 from .domination import gamma3
@@ -24,24 +26,17 @@ THEOREM_OFFSETS = {"3.1": 1, "3.2": 2, "3.3": 3, "3.4": 4, "3.5": 5}
 NOTE_KINDS = ("fails-target", "label-mismatch", "missing-from-statement", "ambiguous-figure")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CatalogEntry:
-    """One named graph with provenance; computed fields filled by self_check."""
+    """One named graph with provenance and its invariants."""
 
     name: str
     theorem: str
     source: str  # "statement" | "proof" | figure id such as "ft102"
-    recipe: str | None = None  # DSL text, exclusive with edges
-    edges: tuple | None = None
-    n_vertices: int | None = None
-    graph: Graph | None = None
-    expected_n: int | None = None
-    expected_gamma3: int | None = None
-    expected_kappa: int | None = None
-
-    @property
-    def target(self):
-        return "2n-" + str(THEOREM_OFFSETS[self.theorem])
+    graph: Graph
+    canon: str  # canonical graph6
+    gamma3: int
+    kappa: int
 
 
 @dataclass(frozen=True)
@@ -54,10 +49,6 @@ class DiscrepancyNote:
     def __post_init__(self):
         if self.kind not in NOTE_KINDS:
             raise ValueError(f"unknown note kind {self.kind!r}")
-
-
-def _sorted_notes(notes):
-    return sorted(notes, key=lambda nt: (nt.theorem, nt.entry, nt.kind, nt.detail))
 
 
 # Figure transcriptions, read vertex by vertex from the drawing coordinates.
@@ -131,16 +122,17 @@ _STATIC_NOTES = [
 ]
 
 
-def build_catalog():
-    """Every catalog entry, graphs built, no invariants computed yet."""
-    entries = []
+@lru_cache(maxsize=None)
+def checked_catalog():
+    """(entries, notes): every catalog entry with its invariants, and all notes sorted."""
+    named = []
 
     def fam(name, theorem, recipe, source="statement"):
-        entries.append(CatalogEntry(name, theorem, source, recipe=recipe))
+        named.append((name, theorem, source, build_family(recipe)))
 
     def fig(name, theorem):
         figure, n, edges = _FIGURES[name]
-        entries.append(CatalogEntry(name, theorem, figure, edges=edges, n_vertices=n))
+        named.append((name, theorem, figure, Graph.from_edges(n, edges)))
 
     fam("K3", "3.1", "K3")
 
@@ -158,26 +150,24 @@ def build_catalog():
     fam("K5-e", "3.4", "minus_matching(K5,1)")
     fam("K5-2e", "3.4", "minus_matching(K5,2)")
     fam("P5", "3.4", "P5")
-    fam("P4", "3.4", "P4")  # listed by the statement; self_check flags it
+    fam("P4", "3.4", "P4")  # listed by the statement; fails its target
     fam("C3(P2,0,0)", "3.4", "C3(P2,0,0)")
     fam("K{1,3}", "3.4", "K{1,3}")
     fam("K1+P4", "3.4", "join(K1,P4)")
-    entries.append(CatalogEntry("C5+e", "3.4", "statement", edges=_C5_CHORD, n_vertices=5))
+    named.append(("C5+e", "3.4", "statement", Graph.from_edges(5, _C5_CHORD)))
 
     fam("K7", "3.5", "K7")
     fam("K6-e", "3.5", "minus_matching(K6,1)")
     fam("K6-2e", "3.5", "minus_matching(K6,2)")
     for name in ("T1", "T2", "T3", "T4", "T5", "T6"):
         fig(name, "3.5")
-    fam("C6", "3.5", "C6")  # listed by the statement; self_check flags it
+    fam("C6", "3.5", "C6")  # listed by the statement; fails its target
     fam("C7", "3.5", "C7", source="proof")
     fam("P6", "3.5", "P6")
     fam("K{2,3}", "3.5", "K{2,3}")
     fam("K2+3K1", "3.5", "join(K2,complement(K3))")
-    entries.append(
-        CatalogEntry("H1", "3.5", "ft101", recipe="complement(union(P3,union(K1,K1)))")
-    )
-    entries.append(CatalogEntry("H2", "3.5", "ft101", recipe="complement(union(P3,P2))"))
+    fam("H1", "3.5", "complement(union(P3,union(K1,K1)))", source="ft101")
+    fam("H2", "3.5", "complement(union(P3,P2))", source="ft101")
     fam("F2", "3.5", "F2")
     fam("K{1,4}", "3.5", "K{1,4}")
     fam("C4(P2,0,0,0)", "3.5", "C4(P2,0,0,0)")
@@ -188,53 +178,36 @@ def build_catalog():
     for name in ("T7", "T8", "T9", "T10", "T11", "T12"):
         fig(name, "3.5")
 
-    for entry in entries:
-        if entry.recipe is not None:
-            entry.graph = build_family(entry.recipe)
-        else:
-            entry.graph = Graph.from_edges(entry.n_vertices, entry.edges)
-        if not is_connected(entry.graph):
-            raise AssertionError(f"catalog entry {entry.name} built a disconnected graph")
-    return entries
-
-
-def self_check(entries):
-    """Fill each entry's computed invariants; return all discrepancy notes."""
+    entries = []
     notes = list(_STATIC_NOTES)
-    for entry in entries:
-        g = entry.graph
-        entry.expected_n = g.n
-        entry.expected_gamma3 = gamma3(g).number
-        entry.expected_kappa = vertex_connectivity(g).kappa
-        total = entry.expected_gamma3 + entry.expected_kappa
-        target = 2 * g.n - THEOREM_OFFSETS[entry.theorem]
-        if total != target:
+    for name, theorem, source, g in named:
+        if not is_connected(g):
+            raise AssertionError(f"catalog entry {name} built a disconnected graph")
+        g3, kappa = gamma3(g).number, vertex_connectivity(g).kappa
+        entries.append(CatalogEntry(name, theorem, source, g, canonical_graph6(g), g3, kappa))
+        offset = THEOREM_OFFSETS[theorem]
+        target = 2 * g.n - offset
+        if g3 + kappa != target:
             notes.append(
                 DiscrepancyNote(
-                    entry.name,
-                    entry.theorem,
+                    name,
+                    theorem,
                     "fails-target",
-                    f"gamma3+kappa = {entry.expected_gamma3}+{entry.expected_kappa} "
-                    f"= {total}, but {entry.target} = {target} at n={g.n}",
+                    f"gamma3+kappa = {g3}+{kappa} = {g3 + kappa}, "
+                    f"but 2n-{offset} = {target} at n={g.n}",
                 )
             )
-    return _sorted_notes(notes)
-
-
-def checked_catalog():
-    """build_catalog + self_check in one step: (entries, notes)."""
-    entries = build_catalog()
-    notes = self_check(entries)
-    return entries, notes
+    notes.sort(key=lambda nt: (nt.theorem, nt.entry, nt.kind, nt.detail))
+    return tuple(entries), tuple(notes)
 
 
 def notes_for(notes, theorem):
     return [nt for nt in notes if nt.theorem == theorem]
 
 
-def canonical_names(entries):
+def canonical_names():
     """Map canonical graph6 -> sorted entry names, for pretty reporting."""
     out = {}
-    for entry in entries:
-        out.setdefault(canonical_graph6(entry.graph), set()).add(entry.name)
+    for entry in checked_catalog()[0]:
+        out.setdefault(entry.canon, set()).add(entry.name)
     return {key: sorted(names) for key, names in out.items()}

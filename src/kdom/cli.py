@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .catalog import canonical_names, checked_catalog
+from .catalog import THEOREM_OFFSETS, canonical_names
 from .connectivity import vertex_connectivity
 from .domination import gamma_k
 from .enumeration import connected_graphs
@@ -131,8 +131,7 @@ def _entry_names(g6, lookup):
 
 def _cmd_characterize(args):
     per_level = characterize(args.offset, args.max_n)
-    entries, _ = checked_catalog()
-    lookup = canonical_names(entries)
+    lookup = canonical_names()
     if args.json:
         _emit_json(
             {
@@ -177,8 +176,7 @@ def _cmd_check_theorem(args):
 
 def _cmd_verify_bound(args):
     rep = verify_bound(args.max_n)
-    entries, _ = checked_catalog()
-    lookup = canonical_names(entries)
+    lookup = canonical_names()
     names = [_entry_names(g6, lookup) for g6 in rep.equality]
     if args.json:
         _emit_json(rep.to_jsonable())
@@ -250,13 +248,13 @@ def _build_parser():
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("characterize", help="extremal sets gamma3+kappa = 2n-offset")
-    p.add_argument("--offset", type=int, required=True, choices=(1, 2, 3, 4, 5))
+    p.add_argument("--offset", type=int, required=True, choices=tuple(THEOREM_OFFSETS.values()))
     p.add_argument("--max-n", type=int, default=DEFAULT_N_MAX)
     add_common(p)
     p.set_defaults(func=_cmd_characterize)
 
     p = sub.add_parser("check-theorem", help="diff one theorem's list against the computation")
-    p.add_argument("theorem", choices=("3.1", "3.2", "3.3", "3.4", "3.5"))
+    p.add_argument("theorem", choices=tuple(THEOREM_OFFSETS))
     p.add_argument("--max-n", type=int, default=DEFAULT_N_MAX)
     add_common(p, strict=True)
     p.set_defaults(func=_cmd_check_theorem)

@@ -74,15 +74,15 @@ def _split_network(g):
 def _max_flow_vertex_cut(network, s, t, stop_at):
     """Max vertex-disjoint s-t paths; returns (value, cut or None).
 
-    Aborts with cut=None once value reaches stop_at (caller only cares
-    about strictly smaller values).
+    Aborts with cut=None once value reaches the int stop_at (callers only
+    care about strictly smaller values).
     """
     heads, base_caps, arcs = network
     caps = base_caps[:]
     source, sink = 2 * s + 1, 2 * t
     value = 0
     while True:
-        if stop_at is not None and value >= stop_at:
+        if value >= stop_at:
             return value, None
         # BFS for an augmenting path in the residual graph
         parent_arc = [-1] * len(arcs)

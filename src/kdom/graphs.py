@@ -91,9 +91,6 @@ class Graph:
     def edge_count(self):
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def vertices(self):
-        return range(self.n)
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 

@@ -31,7 +31,6 @@ from .graphs import (
     min_degree,
     remove_matching,
 )
-from .isomorphism import canonical_graph6
 
 DEFAULT_N_MAX = 8
 _MIN_LEVEL = 3
@@ -63,6 +62,17 @@ def level_records(n):
     return tuple(out)
 
 
+def _levels(n_max):
+    """(n, level_records(n)) pairs for 3 <= n <= n_max.
+
+    connected_graphs(n_max) runs first, so a guarded n_max is refused
+    before any level is built or solved.
+    """
+    if n_max >= _MIN_LEVEL:
+        connected_graphs(n_max)
+    return [(n, level_records(n)) for n in range(_MIN_LEVEL, n_max + 1)]
+
+
 @dataclass(frozen=True)
 class BoundReport:
     n_max: int
@@ -86,9 +96,9 @@ def verify_bound(n_max=DEFAULT_N_MAX):
     violations = []
     equality = []
     checked = 0
-    for n in range(_MIN_LEVEL, n_max + 1):
+    for n, recs in _levels(n_max):
         bound = 2 * n - 1
-        for rec in level_records(n):
+        for rec in recs:
             checked += 1
             if rec.total > bound:
                 violations.append(rec)
@@ -101,13 +111,12 @@ def verify_bound(n_max=DEFAULT_N_MAX):
 
 def characterize(target_offset, n_max=DEFAULT_N_MAX):
     """Per-n extremal sets with gamma3+kappa = 2n - target_offset, canonical order."""
-    if target_offset not in (1, 2, 3, 4, 5):
+    if target_offset not in THEOREM_OFFSETS.values():
         raise ValueError("target_offset must be in 1..5")
-    out = {}
-    for n in range(_MIN_LEVEL, n_max + 1):
-        target = 2 * n - target_offset
-        out[n] = tuple(rec for rec in level_records(n) if rec.total == target)
-    return out
+    return {
+        n: tuple(rec for rec in recs if rec.total == 2 * n - target_offset)
+        for n, recs in _levels(n_max)
+    }
 
 
 @dataclass(frozen=True)
@@ -156,9 +165,9 @@ def check_theorem(theorem, n_max=DEFAULT_N_MAX):
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {sorted(THEOREM_OFFSETS)}")
     start = time.perf_counter()
     offset = THEOREM_OFFSETS[theorem]
+    computed = characterize(offset, n_max)
     entries, all_notes = checked_catalog()
     mine = [e for e in entries if e.theorem == theorem]
-    computed = characterize(offset, n_max)
     computed_set = {rec.g6 for recs in computed.values() for rec in recs}
 
     confirmed = []
@@ -171,12 +180,11 @@ def check_theorem(theorem, n_max=DEFAULT_N_MAX):
                 f"{entry.name} has n={entry.graph.n} beyond n_max={n_max}; not checked"
             )
             continue
-        canon = canonical_graph6(entry.graph)
-        if canon in computed_set:
+        if entry.canon in computed_set:
             confirmed.append(entry.name)
-            matched_canon.add(canon)
+            matched_canon.add(entry.canon)
         else:
-            extra.append(ExtraEntry(entry.name, entry.expected_gamma3 + entry.expected_kappa))
+            extra.append(ExtraEntry(entry.name, entry.gamma3 + entry.kappa))
     missing = sorted(computed_set - matched_canon)
     if offset + 2 > n_max:
         caveats.append(
@@ -269,8 +277,8 @@ def audit_small_theorems(n_max=7):
     kappa_fail = []
     gk_fail = []
     checked = 0
-    for n in range(_MIN_LEVEL, n_max + 1):
-        for g, rec in zip(connected_graphs(n), level_records(n)):
+    for n, recs in _levels(n_max):
+        for g, rec in zip(connected_graphs(n), recs):
             checked += 1
             if (rec.gamma3 == n) != (rec.max_degree <= 2):
                 delta_fail.append((rec.g6, rec.gamma3, rec.max_degree))

@@ -1,3 +1,5 @@
+import sys
+
 from kdom import is_connected
 from kdom.catalog import (
     THEOREM_OFFSETS,
@@ -6,6 +8,7 @@ from kdom.catalog import (
     notes_for,
 )
 from kdom.isomorphism import canonical_graph6
+from kdom.verifier import check_theorem, level_records
 
 
 def entries_by(entries, theorem):
@@ -38,7 +41,7 @@ def test_theorems_31_to_33_all_pass():
     }
     for (theorem, name), (n, g3, kp) in by_hand.items():
         e = find(entries, theorem, name)
-        assert (e.expected_n, e.expected_gamma3, e.expected_kappa) == (n, g3, kp)
+        assert (e.graph.n, e.gamma3, e.kappa) == (n, g3, kp)
     for theorem in ("3.1", "3.2", "3.3"):
         assert failing_names(notes, theorem) == set()
 
@@ -46,7 +49,7 @@ def test_theorems_31_to_33_all_pass():
 def test_p4_under_34_fails_target():
     entries, notes = checked_catalog()
     e = find(entries, "3.4", "P4")
-    assert e.expected_gamma3 + e.expected_kappa == 5  # = 2n-3, not 2n-4
+    assert e.gamma3 + e.kappa == 5  # = 2n-3, not 2n-4
     assert failing_names(notes, "3.4") == {"P4"}
 
 
@@ -54,10 +57,10 @@ def test_35_failures_are_c6_and_lossy_figures():
     entries, notes = checked_catalog()
     assert failing_names(notes, "3.5") == {"C6", "T2", "T3", "T4"}
     c6 = find(entries, "3.5", "C6")
-    assert c6.expected_gamma3 + c6.expected_kappa == 8  # = 2n-4
+    assert c6.gamma3 + c6.kappa == 8  # = 2n-4
     c7 = find(entries, "3.5", "C7")
     assert c7.source == "proof"
-    assert c7.expected_gamma3 + c7.expected_kappa == 9  # = 2n-5
+    assert c7.gamma3 + c7.kappa == 9  # = 2n-5
 
 
 def test_proof_only_entries_are_flagged():
@@ -103,6 +106,35 @@ def test_notes_sorted_and_deterministic():
 
 def test_canonical_names_lookup():
     entries, _ = checked_catalog()
-    lookup = canonical_names(entries)
+    lookup = canonical_names()
     k3 = find(entries, "3.1", "K3")
     assert lookup[canonical_graph6(k3.graph)] == ["K3"]
+
+
+def test_entries_agree_with_the_level_tables():
+    # the catalog's labeling and the enumeration's are independent paths
+    # to the same canonical form and invariants
+    entries, _ = checked_catalog()
+    assert len(entries) == 47
+    for e in entries:
+        assert e.canon == canonical_graph6(e.graph), e.name
+        row = next(r for r in level_records(e.graph.n) if r.g6 == e.canon)
+        assert (e.gamma3, e.kappa) == (row.gamma3, row.kappa), e.name
+
+
+def test_one_build_canonicalizes_each_entry_once(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return canonical_graph6(g)
+
+    # patch every kdom module that holds the function, as a caller imports it by name
+    for key, module in list(sys.modules.items()):
+        if key.startswith("kdom") and getattr(module, "canonical_graph6", None) is canonical_graph6:
+            monkeypatch.setattr(module, "canonical_graph6", counted)
+    checked_catalog.cache_clear()
+    checked_catalog()
+    check_theorem("3.5", 6)
+    canonical_names()
+    assert len(calls) == 47

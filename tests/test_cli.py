@@ -73,14 +73,26 @@ def test_enumerate(capsys):
     assert len(lines) == 6 and lines == sorted(lines)
 
 
-def test_enumerate_guards(capsys):
+def test_enumerate_guards(capsys, monkeypatch):
     code, _, err = run(capsys, "enumerate", "--n", "9")
     assert code == 2 and "--allow-large" in err
     code, _, err = run(capsys, "enumerate", "--n", "10", "--allow-large")
     assert code == 2 and "hard ceiling 9" in err
-    # the sweeps have no --allow-large; the message must not suggest one
-    code, _, err = run(capsys, "verify-bound", "--max-n", "9")
-    assert code == 2 and "kdom enumerate --allow-large" in err
+
+    # the sweeps refuse a guarded --max-n before any level is solved
+    def unreachable(n):
+        raise AssertionError(f"level {n} solved before the guard")
+
+    monkeypatch.setattr("kdom.verifier.level_records", unreachable)
+    for command in (
+        ("verify-bound",),
+        ("audit",),
+        ("check-theorem", "3.3"),
+        ("characterize", "--offset", "3"),
+    ):
+        code, _, err = run(capsys, *command, "--max-n", "9")
+        # the sweeps have no --allow-large; the message must not suggest one
+        assert code == 2 and "kdom enumerate --allow-large" in err, command
 
 
 def test_verify_bound_text(capsys):
@@ -199,3 +211,21 @@ def test_sweeps_golden_output(capsys):
         code, out, _ = run(capsys, *command, "--max-n", "7", "--json")
         assert code == 0, command
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+# SHA-256 of `characterize --offset k --max-n 7` text output; it pins the
+# extremal sets together with the catalog names each graph is shown by.
+GOLDEN_CHARACTERIZE_SHA256 = {
+    1: "28237e03808cf9b925e1eabd85a303de1645b3401f083d6f2cc77e72e6962ecb",
+    2: "880ae710bfaee677ffe8045fda6be03d0dace0bdbea83a914a6455bd394125da",
+    3: "8cae042aa87608f70744a603b1f3814932b37405b07ed9f8244d99eaea18e9c4",
+    4: "14760202506e10e6ce2c251a40a9f2aa6298c0dd95c6fef92c6baea1b4c4d7b8",
+    5: "6059a90a382ac43c26eae1d5e43bb6c1cdd5f219c6e1dca9104f22755ed3df8b",
+}
+
+
+def test_characterize_golden_text(capsys):
+    for offset, digest in GOLDEN_CHARACTERIZE_SHA256.items():
+        code, out, _ = run(capsys, "characterize", "--offset", str(offset), "--max-n", "7")
+        assert code == 0, offset
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, offset
