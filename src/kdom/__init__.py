@@ -33,7 +33,7 @@ from .domination import (
     is_k_tuple_dominating,
 )
 from .enumeration import connected_graphs
-from .families import FamilyParseError, build_family, parse_family, print_family
+from .families import FamilyParseError, build_family
 from .isomorphism import CanonicalForm, canonical_form, canonical_graph6
 from .verifier import audit_small_theorems, characterize, check_theorem, verify_bound
 
@@ -51,8 +51,6 @@ __all__ = [
     "connected_graphs",
     "FamilyParseError",
     "build_family",
-    "parse_family",
-    "print_family",
     "audit_small_theorems",
     "characterize",
     "check_theorem",

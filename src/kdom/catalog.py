@@ -50,6 +50,9 @@ class DiscrepancyNote:
         if self.kind not in NOTE_KINDS:
             raise ValueError(f"unknown note kind {self.kind!r}")
 
+    def to_jsonable(self):
+        return {"entry": self.entry, "kind": self.kind, "detail": self.detail}
+
 
 # Figure transcriptions, read vertex by vertex from the drawing coordinates.
 _FIGURES = {

@@ -75,8 +75,8 @@ def _cmd_invariants(args):
                 "graph6": graph6_encode(g),
                 "n": g.n,
                 "edges": g.edge_count(),
-                "min_degree": min_degree(g) if g.n else 0,
-                "max_degree": max_degree(g) if g.n else 0,
+                "min_degree": min_degree(g),
+                "max_degree": max_degree(g),
                 "gamma": _domination_jsonable(gamma),
                 "gamma3": _domination_jsonable(g3),
                 "double_domination": _domination_jsonable(double),

@@ -1,4 +1,4 @@
-"""A small DSL for the graph families: parsing, printing, evaluation.
+"""A small DSL for the graph families, parsed and built in one pass.
 
 Grammar (whitespace-insensitive, family letters case-sensitive):
 
@@ -12,17 +12,27 @@ Grammar (whitespace-insensitive, family letters case-sensitive):
 
 An atom followed by a slot list is the pendant-path attachment notation;
 the slot count must equal the atom's vertex count, as in C4(P2,2P3,P4,P3).
-Functions nest at most MAX_NESTING deep.  Parse errors carry the byte
-offset of the offending token.
-"""
+Functions nest at most MAX_NESTING deep.
 
-from dataclasses import dataclass
+The recursive-descent parser calls the kdom.graphs constructors as it
+reads, so every parse step returns a Graph and no expression tree is kept.
+Syntax errors raise FamilyParseError with the byte offset of the offending
+token; a constructor's own ValueError (C2, a matching that does not fit, a
+union above the vertex cap) passes through unchanged.  With two faults in
+one input, the first one read is reported.
+"""
 
 from . import graphs as _g
 
 FUNCTIONS = ("complement", "union", "join", "sum", "minus_matching")
-FAMILY_LETTERS = ("K", "P", "C", "W", "F")
-MAX_NESTING = 100  # functions inside functions; keeps parsing and evaluation off the recursion limit
+ATOM_BUILDERS = {
+    "K": _g.complete,
+    "P": _g.path,
+    "C": _g.cycle,
+    "W": _g.wheel,
+    "F": _g.friendship,
+}
+MAX_NESTING = 100  # functions inside functions; keeps the parser off the recursion limit
 
 
 class FamilyParseError(ValueError):
@@ -33,53 +43,10 @@ class FamilyParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Atom:
-    letter: str
-    n: int
-
-
-@dataclass(frozen=True)
-class Bipartite:
-    m: int
-    n: int
-
-
-@dataclass(frozen=True)
-class Complement:
-    expr: object
-
-
-@dataclass(frozen=True)
-class Union:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Join:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class MinusMatching:
-    expr: object
-    size: object  # int or "perfect"
-
-
-@dataclass(frozen=True)
-class Attach:
-    base: object  # Atom or Bipartite
-    slots: tuple  # one entry per base vertex: None or (multiplicity, length)
-
-
-def atom_vertex_count(node):
-    if isinstance(node, Bipartite):
-        return node.m + node.n
-    if node.letter == "F":
-        return 2 * node.n + 1
-    return node.n
+def _check_cap(label, count, offset):
+    """Refuse an atom above the vertex cap before anything is allocated for it."""
+    if count > _g.MAX_VERTICES:
+        raise FamilyParseError(f"{label} has {count} vertices, above the cap {_g.MAX_VERTICES}", offset)
 
 
 # ---------------------------------------------------------------------------
@@ -142,63 +109,50 @@ class _Parser:
             if depth == MAX_NESTING:
                 raise FamilyParseError(f"functions nested deeper than {MAX_NESTING}", offset)
             return self.parse_func(depth + 1)
-        if value in FAMILY_LETTERS:
-            atom = self.parse_atom()
+        if value in ATOM_BUILDERS:
+            base = self.parse_atom()
             if self.peek()[0] == "(":
-                return self.parse_attach(atom)
-            return atom
+                return self.parse_attach(base)
+            return base
         raise FamilyParseError(f"unknown name {value!r}", offset)
 
     def parse_func(self, depth):
-        _, name, offset = self.next()
+        name = self.next()[1]
         self.expect("(")
+        g = self.parse_expr(depth)
         if name == "complement":
-            inner = self.parse_expr(depth)
             self.expect(")")
-            return Complement(inner)
-        if name in ("union", "join", "sum"):
-            left = self.parse_expr(depth)
-            self.expect(",")
-            right = self.parse_expr(depth)
-            self.expect(")")
-            return Union(left, right) if name == "union" else Join(left, right)
-        # minus_matching
-        inner = self.parse_expr(depth)
+            return _g.complement(g)
         self.expect(",")
-        kind, value, off = self.next()
-        if kind == "int":
-            size = value
-        elif kind == "name" and value == "perfect":
-            size = "perfect"
-        else:
-            raise FamilyParseError(f"expected a matching size or 'perfect', found {value!r}", off)
+        if name == "minus_matching":
+            kind, size, offset = self.next()
+            if kind != "int" and (kind, size) != ("name", "perfect"):
+                raise FamilyParseError(f"expected a matching size or 'perfect', found {size!r}", offset)
+            self.expect(")")
+            return _g.remove_matching(g, _g.greedy_matching(g, size))
+        h = self.parse_expr(depth)
         self.expect(")")
-        return MinusMatching(inner, size)
+        return _g.disjoint_union(g, h) if name == "union" else _g.join(g, h)
 
     def parse_atom(self):
         _, letter, offset = self.next()
-        if self.peek()[0] == "{":
-            if letter != "K":
-                raise FamilyParseError(f"only K takes a {{m,n}} part, not {letter!r}", offset)
-            self.next()
-            m = self.expect("int")[1]
-            self.expect(",")
-            n = self.expect("int")[1]
-            self.expect("}")
-            atom = Bipartite(m, n)
-        else:
-            kind, value, off = self.next()
+        if self.peek()[0] != "{":
+            kind, n, off = self.next()
             if kind != "int":
                 raise FamilyParseError(f"expected a size after {letter!r}", off)
-            atom = Atom(letter, value)
-        count = atom_vertex_count(atom)
-        if count > _g.MAX_VERTICES:
-            raise FamilyParseError(
-                f"{print_family(atom)} has {count} vertices, above the cap {_g.MAX_VERTICES}", offset
-            )
-        return atom
+            _check_cap(f"{letter}{n}", 2 * n + 1 if letter == "F" else n, offset)
+            return ATOM_BUILDERS[letter](n)
+        if letter != "K":
+            raise FamilyParseError(f"only K takes a {{m,n}} part, not {letter!r}", offset)
+        self.next()
+        m = self.expect("int")[1]
+        self.expect(",")
+        n = self.expect("int")[1]
+        self.expect("}")
+        _check_cap(f"K{{{m},{n}}}", m + n, offset)
+        return _g.complete_bipartite(m, n)
 
-    def parse_attach(self, atom):
+    def parse_attach(self, base):
         open_off = self.peek()[2]
         self.expect("(")
         slots = [self.parse_slot()]
@@ -206,14 +160,14 @@ class _Parser:
             self.next()
             slots.append(self.parse_slot())
         self.expect(")")
-        want = atom_vertex_count(atom)
-        if len(slots) != want:
+        if len(slots) != base.n:
             raise FamilyParseError(
-                f"attachment lists {len(slots)} slots but the base has {want} vertices", open_off
+                f"attachment lists {len(slots)} slots but the base has {base.n} vertices", open_off
             )
-        return Attach(atom, tuple(slots))
+        return _g.attach_pendant_paths(base, [(v, *slot) for v, slot in enumerate(slots) if slot])
 
     def parse_slot(self):
+        """None for "0", else (multiplicity, length)."""
         kind, value, offset = self.next()
         if kind == "int" and value == 0 and self.peek()[0] in (",", ")"):
             return None
@@ -228,71 +182,9 @@ class _Parser:
         return (mult, length)
 
 
-def parse_family(text):
-    """Parse DSL text into an expression tree."""
-    parser = _Parser(text)
-    expr = parser.parse_expr()
-    parser.expect("end")
-    return expr
-
-
-def print_family(expr):
-    """Canonical text for an expression tree; parse(print(e)) == e."""
-    if isinstance(expr, Atom):
-        return f"{expr.letter}{expr.n}"
-    if isinstance(expr, Bipartite):
-        return f"K{{{expr.m},{expr.n}}}"
-    if isinstance(expr, Complement):
-        return f"complement({print_family(expr.expr)})"
-    if isinstance(expr, Union):
-        return f"union({print_family(expr.left)},{print_family(expr.right)})"
-    if isinstance(expr, Join):
-        return f"join({print_family(expr.left)},{print_family(expr.right)})"
-    if isinstance(expr, MinusMatching):
-        return f"minus_matching({print_family(expr.expr)},{expr.size})"
-    if isinstance(expr, Attach):
-        slots = ",".join(
-            "0" if s is None else (f"P{s[1]}" if s[0] == 1 else f"{s[0]}P{s[1]}")
-            for s in expr.slots
-        )
-        return f"{print_family(expr.base)}({slots})"
-    raise TypeError(f"not a family expression: {expr!r}")
-
-
-def evaluate(expr):
-    """Build the graph an expression denotes."""
-    if isinstance(expr, Atom):
-        builders = {
-            "K": _g.complete,
-            "P": _g.path,
-            "C": _g.cycle,
-            "W": _g.wheel,
-            "F": _g.friendship,
-        }
-        return builders[expr.letter](expr.n)
-    if isinstance(expr, Bipartite):
-        return _g.complete_bipartite(expr.m, expr.n)
-    if isinstance(expr, Complement):
-        return _g.complement(evaluate(expr.expr))
-    if isinstance(expr, Union):
-        return _g.disjoint_union(evaluate(expr.left), evaluate(expr.right))
-    if isinstance(expr, Join):
-        return _g.join(evaluate(expr.left), evaluate(expr.right))
-    if isinstance(expr, MinusMatching):
-        g = evaluate(expr.expr)
-        return _g.remove_matching(g, _g.greedy_matching(g, expr.size))
-    if isinstance(expr, Attach):
-        base = evaluate(expr.base)
-        specs = [
-            (v, mult, length)
-            for v, slot in enumerate(expr.slots)
-            if slot is not None
-            for mult, length in (slot,)
-        ]
-        return _g.attach_pendant_paths(base, specs)
-    raise TypeError(f"not a family expression: {expr!r}")
-
-
 def build_family(text):
-    """parse_family then evaluate, in one step."""
-    return evaluate(parse_family(text))
+    """The graph that DSL text denotes, built as the parser reads it."""
+    parser = _Parser(text)
+    g = parser.parse_expr()
+    parser.expect("end")
+    return g

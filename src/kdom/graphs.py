@@ -368,10 +368,11 @@ def parse_edge_list(text):
         raise ValueError(f"first edge-list line must be the vertex count, got {lines[0]!r}") from None
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge-list line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise ValueError(f"bad edge-list line {ln!r}") from None
+        edges.append((u, v))
     return Graph.from_edges(n, edges)
 
 

@@ -152,9 +152,7 @@ class VerificationReport:
             "confirmed": list(self.confirmed),
             "extra": [e.to_jsonable() for e in self.extra],
             "missing": list(self.missing),
-            "notes": [
-                {"entry": nt.entry, "kind": nt.kind, "detail": nt.detail} for nt in self.notes
-            ],
+            "notes": [nt.to_jsonable() for nt in self.notes],
             "caveats": list(self.caveats),
         }
 
@@ -252,9 +250,7 @@ class AuditReport:
             "example_g1_gamma3": self.example_g1_gamma3,
             "example_g2_gamma3": self.example_g2_gamma3,
             "example_g2_claim_holds": self.example_g2_claim_holds,
-            "notes": [
-                {"entry": nt.entry, "kind": nt.kind, "detail": nt.detail} for nt in self.notes
-            ],
+            "notes": [nt.to_jsonable() for nt in self.notes],
         }
 
     @property

@@ -148,6 +148,12 @@ def test_usage_errors(capsys, tmp_path):
     huge.write_text("99999999999\n0 1\n")
     code, _, err = run(capsys, "invariants", "--file", str(huge), "--format", "edgelist")
     assert code == 2 and "99999999999" in err
+    bad = tmp_path / "bad.edges"
+    bad.write_text("3\n0 x\n")
+    code, _, err = run(capsys, "invariants", "--file", str(bad), "--format", "edgelist")
+    assert code == 2 and "bad edge-list line '0 x'" in err
+    code, _, err = run(capsys, "invariants", "--graph6", "?")  # n = 0
+    assert code == 2 and "empty graph" in err
     for family in ("P99999999999", "K{40,30}", "join(K1,F31)"):
         code, _, err = run(capsys, "construct", "--family", family)
         assert code == 2 and "offset" in err, family

@@ -2,20 +2,21 @@ import random
 
 import pytest
 
-from kdom import complete, complete_bipartite, cycle, friendship, join, path, remove_matching, wheel
-from kdom.families import (
-    Atom,
-    Attach,
-    Bipartite,
-    Complement,
-    FamilyParseError,
-    Join,
-    MinusMatching,
-    Union,
-    build_family,
-    parse_family,
-    print_family,
+from kdom import (
+    attach_pendant_paths,
+    complement,
+    complete,
+    complete_bipartite,
+    cycle,
+    disjoint_union,
+    friendship,
+    greedy_matching,
+    join,
+    path,
+    remove_matching,
+    wheel,
 )
+from kdom.families import FamilyParseError, build_family
 from kdom.isomorphism import canonical_graph6
 
 
@@ -38,45 +39,43 @@ def test_spec_examples():
 
 
 def test_sum_is_join_alias():
-    assert parse_family("sum(K2,P3)") == parse_family("join(K2,P3)")
+    assert build_family("sum(K2,P3)") == build_family("join(K2,P3)")
 
 
 def test_whitespace_insensitive_case_sensitive():
-    assert parse_family(" join ( K1 , P4 ) ") == parse_family("join(K1,P4)")
+    assert build_family(" join ( K1 , P4 ) ") == build_family("join(K1,P4)")
     with pytest.raises(FamilyParseError):
-        parse_family("k5")
+        build_family("k5")
     with pytest.raises(FamilyParseError):
-        parse_family("C3(p2,0,0)")
+        build_family("C3(p2,0,0)")
 
 
 def test_attach_parsing():
-    expr = parse_family("C3(2P2,0,0)")
-    assert expr == Attach(Atom("C", 3), ((2, 2), None, None))
-    assert build_family("C3(2P2,0,0)").n == 5
+    assert build_family("C3(2P2,0,0)") == attach_pendant_paths(cycle(3), [(0, 2, 2)])
     assert build_family("P3(0,P3,0)").degree(1) == 3
 
 
 def test_parse_errors_carry_offsets():
     with pytest.raises(FamilyParseError) as err:
-        parse_family("join(K1,P4")
+        build_family("join(K1,P4")
     assert err.value.offset == 10
     with pytest.raises(FamilyParseError) as err:
-        parse_family("C3(P2,0)")  # slot count mismatch
+        build_family("C3(P2,0)")  # slot count mismatch
     assert err.value.offset == 2
     with pytest.raises(FamilyParseError):
-        parse_family("C3(P2,0,0,0)")
+        build_family("C3(P2,0,0,0)")
     with pytest.raises(FamilyParseError):
-        parse_family("frobnicate(K3)")
+        build_family("frobnicate(K3)")
     with pytest.raises(FamilyParseError):
-        parse_family("K3)")
+        build_family("K3)")
     with pytest.raises(FamilyParseError):
-        parse_family("minus_matching(K5,half)")
+        build_family("minus_matching(K5,half)")
     with pytest.raises(FamilyParseError):
-        parse_family("C3(P2,0,1P)")
+        build_family("C3(P2,0,1P)")
     with pytest.raises(FamilyParseError):
-        parse_family("P{2,3}")
+        build_family("P{2,3}")
     with pytest.raises(FamilyParseError):
-        parse_family("K3 K4")
+        build_family("K3 K4")
 
 
 def test_evaluation_errors():
@@ -88,37 +87,72 @@ def test_evaluation_errors():
         build_family("minus_matching(K5,perfect)")
     with pytest.raises(ValueError):
         build_family("join(K40,K40)")
+    with pytest.raises(ValueError, match="cycle requires"):
+        build_family("union(C2,K3")  # the bad atom is read before the missing ')'
 
 
-def random_expr(rng, depth=0):
+ATOMS = {"K": complete, "P": path, "C": cycle, "W": wheel, "F": friendship}
+
+
+def _apply(build, *args):
+    """build(*args), or the ValueError that an argument carries or build raises."""
+    for arg in args:
+        if isinstance(arg, ValueError):
+            return arg
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return exc
+
+
+def random_case(rng, depth=0):
+    """(DSL text, the graph it denotes or the ValueError building it raises),
+    built by calling the kdom.graphs constructors directly."""
     roll = rng.random()
     if depth >= 3 or roll < 0.35:
         letter = rng.choice(["K", "P", "C", "W", "F"])
         lo = {"K": 1, "P": 1, "C": 3, "W": 4, "F": 1}[letter]
         if letter == "K" and rng.random() < 0.3:
-            return Bipartite(rng.randint(1, 3), rng.randint(1, 3))
-        return Atom(letter, rng.randint(lo, lo + 3))
+            m, n = rng.randint(1, 3), rng.randint(1, 3)
+            return f"K{{{m},{n}}}", complete_bipartite(m, n)
+        n = rng.randint(lo, lo + 3)
+        return f"{letter}{n}", ATOMS[letter](n)
     if roll < 0.5:
-        return Complement(random_expr(rng, depth + 1))
-    if roll < 0.65:
-        return Union(random_expr(rng, depth + 1), random_expr(rng, depth + 1))
+        text, g = random_case(rng, depth + 1)
+        return f"complement({text})", _apply(complement, g)
     if roll < 0.8:
-        return Join(random_expr(rng, depth + 1), random_expr(rng, depth + 1))
+        name, build = ("union", disjoint_union) if roll < 0.65 else ("join", join)
+        left, g = random_case(rng, depth + 1)
+        right, h = random_case(rng, depth + 1)
+        return f"{name}({left},{right})", _apply(build, g, h)
     if roll < 0.9:
-        return MinusMatching(random_expr(rng, depth + 1), rng.choice([0, 1, 2, "perfect"]))
-    base = Atom("C", rng.randint(3, 5))
-    slots = tuple(
-        None if rng.random() < 0.5 else (rng.randint(1, 2), rng.randint(2, 4))
-        for _ in range(base.n)
-    )
-    return Attach(base, slots)
+        text, g = random_case(rng, depth + 1)
+        size = rng.choice([0, 1, 2, "perfect"])
+
+        def minus(g):
+            return remove_matching(g, greedy_matching(g, size))
+
+        return f"minus_matching({text},{size})", _apply(minus, g)
+    n = rng.randint(3, 5)
+    slots = [None if rng.random() < 0.5 else (rng.randint(1, 2), rng.randint(2, 4)) for _ in range(n)]
+    text = ",".join("0" if s is None else (f"P{s[1]}" if s[0] == 1 else f"{s[0]}P{s[1]}") for s in slots)
+    specs = [(v, *s) for v, s in enumerate(slots) if s]
+    return f"C{n}({text})", attach_pendant_paths(cycle(n), specs)
 
 
-def test_print_parse_round_trip():
+def test_random_texts_build_their_graphs():
     rng = random.Random(40)
+    errors = 0
     for _ in range(300):
-        expr = random_expr(rng)
-        assert parse_family(print_family(expr)) == expr
+        text, want = random_case(rng)
+        if isinstance(want, ValueError):
+            errors += 1
+            with pytest.raises(ValueError) as err:
+                build_family(text)
+            assert str(err.value) == str(want), text
+        else:
+            assert build_family(text) == want, text
+    assert 0 < errors < 300
 
 
 def test_t6_figure_is_the_six_vertex_wheel():
