@@ -130,83 +130,74 @@ def _entry_names(g6, lookup):
 
 
 def _cmd_characterize(args):
-    per_level = characterize(args.offset, args.max_n)
-    lookup = canonical_names()
+    doc = characterize(args.offset, args.max_n)
     if args.json:
-        _emit_json(
-            {
-                "target_offset": args.offset,
-                "n_max": args.max_n,
-                "levels": [
-                    {"n": n, "extremal": [r.to_jsonable() for r in recs]}
-                    for n, recs in sorted(per_level.items())
-                ],
-            }
-        )
+        _emit_json(doc)
         return 0
+    lookup = canonical_names()
     _emit(f"gamma3+kappa = 2n-{args.offset}, n = 3..{args.max_n}\n")
-    for n in sorted(per_level):
-        recs = per_level[n]
+    for level in doc["levels"]:
+        recs = level["extremal"]
         if not recs:
-            _emit(f"n={n}: (none)\n")
+            _emit(f"n={level['n']}: (none)\n")
             continue
-        line = " ".join(f"{r.g6}[{_entry_names(r.g6, lookup)}]" for r in recs)
-        _emit(f"n={n}: {line}\n")
+        line = " ".join(f"{r['g6']}[{_entry_names(r['g6'], lookup)}]" for r in recs)
+        _emit(f"n={level['n']}: {line}\n")
     return 0
 
 
 def _cmd_check_theorem(args):
-    rep = check_theorem(args.theorem, args.max_n)
+    doc = check_theorem(args.theorem, args.max_n)
     if args.json:
-        _emit_json(rep.to_jsonable())
+        _emit_json(doc)
     else:
-        _emit(f"theorem {rep.theorem} (gamma3+kappa = 2n-{rep.target_offset}), n <= {rep.n_max}\n")
-        _emit(f"confirmed ({len(rep.confirmed)}): {', '.join(rep.confirmed) or '(none)'}\n")
-        extra = ", ".join(f"{e.name} (computed sum {e.computed_sum})" for e in rep.extra)
-        _emit(f"extra ({len(rep.extra)}): {extra or '(none)'}\n")
-        _emit(f"missing ({len(rep.missing)}): {', '.join(rep.missing) or '(none)'}\n")
-        for nt in rep.notes:
-            _emit(f"note {nt.entry}: {nt.kind}: {nt.detail}\n")
-        for caveat in rep.caveats:
+        _emit(f"theorem {doc['theorem']} (gamma3+kappa = 2n-{doc['target_offset']}), n <= {doc['n_max']}\n")
+        _emit(f"confirmed ({len(doc['confirmed'])}): {', '.join(doc['confirmed']) or '(none)'}\n")
+        extra = ", ".join(f"{e['name']} (computed sum {e['computed_sum']})" for e in doc["extra"])
+        _emit(f"extra ({len(doc['extra'])}): {extra or '(none)'}\n")
+        _emit(f"missing ({len(doc['missing'])}): {', '.join(doc['missing']) or '(none)'}\n")
+        for nt in doc["notes"]:
+            _emit(f"note {nt['entry']}: {nt['kind']}: {nt['detail']}\n")
+        for caveat in doc["caveats"]:
             _emit(f"caveat: {caveat}\n")
-    if args.strict_paper and (rep.extra or rep.missing):
+    if args.strict_paper and (doc["extra"] or doc["missing"]):
         return 1
     return 0
 
 
 def _cmd_verify_bound(args):
-    rep = verify_bound(args.max_n)
+    doc = verify_bound(args.max_n)
     lookup = canonical_names()
-    names = [_entry_names(g6, lookup) for g6 in rep.equality]
+    names = [_entry_names(g6, lookup) for g6 in doc["equality"]]
     if args.json:
-        _emit_json(rep.to_jsonable())
+        _emit_json(doc)
     else:
-        _emit(f"{len(rep.violations)} violations, equality: {', '.join(names) or '(none)'}\n")
-    expected_equality = len(rep.equality) == 1 and names == ["K3"]
-    if args.strict_paper and (rep.violations or not expected_equality):
+        _emit(f"{len(doc['violations'])} violations, equality: {', '.join(names) or '(none)'}\n")
+    if args.strict_paper and (doc["violations"] or names != ["K3"]):
         return 1
     return 0
 
 
 def _cmd_audit(args):
-    rep = audit_small_theorems(args.max_n)
+    doc = audit_small_theorems(args.max_n)
     if args.json:
-        _emit_json(rep.to_jsonable())
+        _emit_json(doc)
     else:
-        _emit(f"graphs checked (n=3..{rep.n_max}): {rep.graphs_checked}\n")
-        _emit(f"gamma3=n iff max_degree<=2: {len(rep.delta_equivalence_failures)} failures\n")
-        _emit(f"3 <= gamma3 <= n: {len(rep.observation_failures)} failures\n")
-        _emit(f"kappa <= min_degree: {len(rep.kappa_failures)} failures\n")
-        _emit(f"gamma+kappa <= n: {len(rep.gamma_kappa_bound_failures)} failures\n")
-        for sweep in rep.matching_sweeps:
+        _emit(f"graphs checked (n=3..{doc['n_max']}): {doc['graphs_checked']}\n")
+        _emit(f"gamma3=n iff max_degree<=2: {len(doc['delta_equivalence_failures'])} failures\n")
+        _emit(f"3 <= gamma3 <= n: {len(doc['observation_failures'])} failures\n")
+        _emit(f"kappa <= min_degree: {len(doc['kappa_failures'])} failures\n")
+        _emit(f"gamma+kappa <= n: {len(doc['gamma_kappa_bound_failures'])} failures\n")
+        for sweep in doc["matching_sweeps"]:
             _emit(
-                f"K{sweep.n} minus matchings ({sweep.matchings}): "
-                f"{len(sweep.failures)} failures\n"
+                f"K{sweep['n']} minus matchings ({sweep['matchings']}): "
+                f"{len(sweep['failures'])} failures\n"
             )
-        _emit(f"example graphs: gamma3(G1)={rep.example_g1_gamma3} gamma3(G2)={rep.example_g2_gamma3}\n")
-        for nt in rep.notes:
-            _emit(f"note {nt.entry}: {nt.kind}: {nt.detail}\n")
-    if args.strict_paper and (not rep.clean or rep.notes):
+        _emit(f"example graphs: gamma3(G1)={doc['example_g1_gamma3']} gamma3(G2)={doc['example_g2_gamma3']}\n")
+        for nt in doc["notes"]:
+            _emit(f"note {nt['entry']}: {nt['kind']}: {nt['detail']}\n")
+    # the Example 2.4 note is unconditional, so --strict-paper always exits 1
+    if args.strict_paper and doc["notes"]:
         return 1
     return 0
 

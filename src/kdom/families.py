@@ -33,6 +33,7 @@ ATOM_BUILDERS = {
     "F": _g.friendship,
 }
 MAX_NESTING = 100  # functions inside functions; keeps the parser off the recursion limit
+MAX_INT_DIGITS = 100  # keeps int() off Python's 4300-digit conversion limit
 
 
 class FamilyParseError(ValueError):
@@ -71,6 +72,8 @@ def _tokenize(text):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
+            if j - i > MAX_INT_DIGITS:
+                raise FamilyParseError(f"integer of {j - i} digits, above the limit {MAX_INT_DIGITS}", i)
             tokens.append(("int", int(text[i:j]), i))
             i = j
         elif ch in "(){},":

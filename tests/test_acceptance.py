@@ -50,8 +50,8 @@ def report(num, desc):
     return decorate
 
 
-def canon_set(per_level):
-    return {rec.g6 for recs in per_level.values() for rec in recs}
+def canon_set(doc):
+    return {r["g6"] for level in doc["levels"] for r in level["extremal"]}
 
 
 @report(1, "exact solver values on the named graphs (< 1 s)")
@@ -97,9 +97,9 @@ def test_criterion_02_equivalence_audit():
 def test_criterion_03_bound():
     start = time.monotonic()
     rep = verify_bound(8)
-    assert rep.violations == ()
-    assert rep.equality == (canonical_graph6(complete(3)),)
-    assert rep.graphs_checked == 2 + 6 + 21 + 112 + 853 + 11117
+    assert rep["violations"] == []
+    assert rep["equality"] == [canonical_graph6(complete(3))]
+    assert rep["graphs_checked"] == 2 + 6 + 21 + 112 + 853 + 11117
     elapsed = time.monotonic() - start
     assert elapsed < 180.0, f"took {elapsed:.2f}s"
 
@@ -128,9 +128,9 @@ def test_criterion_05_theorem_33():
     diamond_g6 = canonical_graph6(diamond)
     assert canon_set(characterize(3, 8)) == published | {diamond_g6}
     rep = check_theorem("3.3", 8)
-    assert rep.confirmed == ("C5", "K5", "P4")
-    assert rep.extra == ()
-    assert rep.missing == (diamond_g6,)
+    assert rep["confirmed"] == ["C5", "K5", "P4"]
+    assert rep["extra"] == []
+    assert rep["missing"] == [diamond_g6]
 
 
 @report(6, "offset-4 set contains the ten named graphs; extra reports P4 at sum 2n-3")
@@ -151,7 +151,7 @@ def test_criterion_06_theorem_34_audit():
     for name, g in named.items():
         assert canonical_graph6(g) in got, name
     rep = check_theorem("3.4", 8)
-    extras = {e.name: e.computed_sum for e in rep.extra}
+    extras = {e["name"]: e["computed_sum"] for e in rep["extra"]}
     assert extras.get("P4") == 2 * 4 - 3
 
 
@@ -180,11 +180,11 @@ def test_criterion_07_theorem_35_audit():
     for name, g in named.items():
         assert canonical_graph6(g) in got, name
     rep = check_theorem("3.5", 8)
-    assert any(e.name == "C6" for e in rep.extra)
-    noted = {nt.entry for nt in rep.notes}
+    assert any(e["name"] == "C6" for e in rep["extra"])
+    noted = {nt["entry"] for nt in rep["notes"]}
     for i in range(1, 13):
         name = f"T{i}"
-        assert name in rep.confirmed or name in noted, f"{name} silently unaccounted"
+        assert name in rep["confirmed"] or name in noted, f"{name} silently unaccounted"
 
 
 @report(8, "solvers equal the naive oracles (gamma_k at n<=6, kappa at n<=7)")

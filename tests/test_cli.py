@@ -6,6 +6,7 @@ from itertools import combinations
 from kdom import Graph, complete, complete_bipartite, cycle, graph6_encode, remove_matching, wheel
 from kdom.cli import main
 from kdom.isomorphism import canonical_graph6
+from kdom.verifier import audit_small_theorems, characterize, check_theorem, verify_bound
 
 
 def run(capsys, *argv):
@@ -235,3 +236,16 @@ def test_characterize_golden_text(capsys):
         code, out, _ = run(capsys, "characterize", "--offset", str(offset), "--max-n", "7")
         assert code == 0, offset
         assert hashlib.sha256(out.encode()).hexdigest() == digest, offset
+
+
+def test_each_sweep_returns_the_document_it_prints(capsys):
+    cases = (
+        (verify_bound(5), ("verify-bound", "--max-n", "5")),
+        (characterize(3, 6), ("characterize", "--offset", "3", "--max-n", "6")),
+        (check_theorem("3.3", 6), ("check-theorem", "3.3", "--max-n", "6")),
+        (audit_small_theorems(5), ("audit", "--max-n", "5")),
+    )
+    for doc, argv in cases:
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0, argv
+        assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == out, argv

@@ -76,6 +76,11 @@ def test_parse_errors_carry_offsets():
         build_family("P{2,3}")
     with pytest.raises(FamilyParseError):
         build_family("K3 K4")
+    # a digit run too long for int() is refused at its offset, naming its length
+    with pytest.raises(FamilyParseError, match="integer of 5000 digits") as err:
+        build_family("P" + "9" * 5000)
+    assert err.value.offset == 1
+    assert build_family("P0000000062") == build_family("P62")
 
 
 def test_evaluation_errors():

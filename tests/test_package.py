@@ -1,3 +1,8 @@
+import doctest
+import os
+import subprocess
+import sys
+
 import kdom
 
 
@@ -8,3 +13,28 @@ def test_public_names_resolve():
     namespace = {}
     exec("from kdom import *", namespace)
     assert set(kdom.__all__) <= namespace.keys()
+
+
+def test_imports_need_only_the_standard_library():
+    """pyproject declares no runtime dependencies; importing kdom loads none."""
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import kdom, kdom.cli\n"
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kdom.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    loaded = out.split()
+    assert "kdom" in loaded
+    assert [m for m in loaded if m != "kdom" and m not in sys.stdlib_module_names] == []
+
+
+def test_readme_examples_run():
+    """The README's >>> examples run as a doctest, so a stale one fails."""
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    result = doctest.testfile(readme, module_relative=False)
+    assert result.attempted > 0 and result.failed == 0

@@ -21,15 +21,19 @@ from kdom.verifier import (
 )
 
 
-def flat(per_level):
-    return {rec.g6 for recs in per_level.values() for rec in recs}
+def flat(doc):
+    return {r["g6"] for level in doc["levels"] for r in level["extremal"]}
+
+
+def by_n(doc):
+    return {level["n"]: level["extremal"] for level in doc["levels"]}
 
 
 def test_verify_bound_small():
     rep = verify_bound(6)
-    assert rep.violations == ()
-    assert rep.equality == (canonical_graph6(complete(3)),)
-    assert rep.graphs_checked == 2 + 6 + 21 + 112
+    assert rep["violations"] == []
+    assert rep["equality"] == [canonical_graph6(complete(3))]
+    assert rep["graphs_checked"] == 2 + 6 + 21 + 112
 
 
 def test_characterize_offset2_exact_at_6():
@@ -41,12 +45,12 @@ def test_characterize_offset2_exact_at_6():
 def test_characterize_offset3_includes_the_diamond():
     # the computation refutes Theorem 3.3's "only if": K4 minus an edge
     # also attains 2n-3 (gamma3 = 3, kappa = 2 at n = 4)
-    got = characterize(3, 6)
+    got = by_n(characterize(3, 6))
     diamond = remove_matching(complete(4), [(0, 1)])
-    assert canonical_graph6(diamond) in {rec.g6 for rec in got[4]}
+    assert canonical_graph6(diamond) in {r["g6"] for r in got[4]}
     assert len(got[4]) == 2  # P4 and the diamond
     assert len(got[5]) == 2  # K5 and C5
-    assert got[3] == () and got[6] == ()
+    assert got[3] == [] and got[6] == []
 
 
 def test_characterize_rejects_bad_offsets():
@@ -61,63 +65,63 @@ def test_characterize_rejects_bad_offsets():
 def test_characterize_empty_beyond_the_largest_family_member():
     # observed empirically: the extremal sets die out above n = offset + 2
     for offset in (1, 2, 3, 4):
-        per = characterize(offset, 7)
+        per = by_n(characterize(offset, 7))
         for n in range(offset + 3, 8):
-            assert per[n] == (), (offset, n)
+            assert per[n] == [], (offset, n)
 
 
 def test_check_theorem_32_all_confirmed():
     rep = check_theorem("3.2", 7)
-    assert rep.confirmed == ("C4", "K4", "K{1,2}")
-    assert rep.extra == () and rep.missing == () and rep.caveats == ()
-    assert rep.notes == ()
+    assert rep["confirmed"] == ["C4", "K4", "K{1,2}"]
+    assert rep["extra"] == [] and rep["missing"] == [] and rep["caveats"] == []
+    assert rep["notes"] == []
 
 
 def test_check_theorem_33_reports_the_diamond_as_missing():
     rep = check_theorem("3.3", 7)
-    assert rep.confirmed == ("C5", "K5", "P4")
-    assert rep.extra == ()
-    assert len(rep.missing) == 1
-    assert rep.missing[0] == canonical_graph6(remove_matching(complete(4), [(0, 1)]))
+    assert rep["confirmed"] == ["C5", "K5", "P4"]
+    assert rep["extra"] == []
+    assert len(rep["missing"]) == 1
+    assert rep["missing"][0] == canonical_graph6(remove_matching(complete(4), [(0, 1)]))
 
 
 def test_check_theorem_34_p4_is_extra():
     rep = check_theorem("3.4", 7)
-    assert [e.name for e in rep.extra] == ["P4"]
-    assert rep.extra[0].computed_sum == 5
-    assert "P4" not in rep.confirmed  # the 3.4 entry; 3.3's P4 confirms separately
-    assert set(rep.confirmed) == {
+    assert [e["name"] for e in rep["extra"]] == ["P4"]
+    assert rep["extra"][0]["computed_sum"] == 5
+    assert "P4" not in rep["confirmed"]  # the 3.4 entry; 3.3's P4 confirms separately
+    assert set(rep["confirmed"]) == {
         "C3(P2,0,0)", "C5+e", "C6", "K1+P4", "K5-2e", "K5-e", "K6", "K6-PM", "K{1,3}", "P5",
     }
-    assert rep.missing == ()
+    assert rep["missing"] == []
 
 
 def test_check_theorem_35_audit_states():
     rep = check_theorem("3.5", 7)
-    extra_names = {e.name for e in rep.extra}
+    extra_names = {e["name"] for e in rep["extra"]}
     assert extra_names == {"C6", "T2", "T3", "T4"}
     assert {"C7", "C3(P3,0,0)", "T1", "T5", "T6", "T7", "T8", "T9", "T10", "T11", "T12"} <= set(
-        rep.confirmed
+        rep["confirmed"]
     )
     # no silent third state: every T entry is confirmed or carries a note
-    noted = {nt.entry for nt in rep.notes}
+    noted = {nt["entry"] for nt in rep["notes"]}
     for name in (f"T{i}" for i in range(1, 13)):
-        assert name in rep.confirmed or name in noted
+        assert name in rep["confirmed"] or name in noted
     # missing = extremal graphs no entry matches: K4+pendant and diamond+pendant
     # at n=5, and complement(P6) (T4's label graph; its drawing lost an edge),
     # complement(P5 u K1), complement(P4 u 2K1) at n=6
-    assert len(rep.missing) == 5
+    assert len(rep["missing"]) == 5
 
 
 def test_check_theorem_horizon_caveat():
     rep = check_theorem("3.5", 6)
-    assert any("K7" in c for c in rep.caveats)
-    assert all(e.name != "K7" for e in rep.extra)
+    assert any("K7" in c for c in rep["caveats"])
+    assert all(e["name"] != "K7" for e in rep["extra"])
 
 
 def test_reports_are_deterministic_json():
-    a = json.dumps(check_theorem("3.4", 6).to_jsonable(), indent=2, sort_keys=True)
-    b = json.dumps(check_theorem("3.4", 6).to_jsonable(), indent=2, sort_keys=True)
+    a = json.dumps(check_theorem("3.4", 6), indent=2, sort_keys=True)
+    b = json.dumps(check_theorem("3.4", 6), indent=2, sort_keys=True)
     assert a == b
     keys = set(json.loads(a))
     assert keys == {
@@ -143,6 +147,18 @@ def test_level_records_cached_and_consistent():
             ), rec.g6
 
 
+def assert_clean(rep):
+    """Every audited fact holds (the Example 2.4 note is expected)."""
+    for key in (
+        "delta_equivalence_failures",
+        "observation_failures",
+        "kappa_failures",
+        "gamma_kappa_bound_failures",
+    ):
+        assert rep[key] == [], key
+    assert all(s["failures"] == [] for s in rep["matching_sweeps"])
+
+
 def test_audit_reads_the_level_table(monkeypatch):
     for n in range(3, 7):
         level_records(n)
@@ -159,19 +175,19 @@ def test_audit_reads_the_level_table(monkeypatch):
         return gamma3(g)
 
     monkeypatch.setattr(kdom.verifier, "gamma3", counting_gamma3)
-    assert audit_small_theorems(6).clean
+    assert_clean(audit_small_theorems(6))
     # K_n minus one matching of each size (n = 5..8) and the figure graphs G1, G2
     assert len(calls) == 3 + 4 + 4 + 5 + 2
 
 
 def test_audit_small_theorems():
     rep = audit_small_theorems(6)
-    assert rep.clean
-    assert rep.graphs_checked == 2 + 6 + 21 + 112
-    assert rep.example_g1_gamma3 == 3
-    assert rep.example_g2_gamma3 == 4
-    assert rep.example_g2_claim_holds is False
-    assert [s.n for s in rep.matching_sweeps] == [5, 6, 7, 8]
-    assert [s.matchings for s in rep.matching_sweeps] == [26, 76, 232, 764]
-    assert all(s.failures == () for s in rep.matching_sweeps)
-    assert len(rep.notes) == 1 and rep.notes[0].entry == "Example-2.4-S2"
+    assert_clean(rep)
+    assert rep["graphs_checked"] == 2 + 6 + 21 + 112
+    assert rep["example_g1_gamma3"] == 3
+    assert rep["example_g2_gamma3"] == 4
+    assert rep["example_g2_claim_holds"] is False
+    assert [s["n"] for s in rep["matching_sweeps"]] == [5, 6, 7, 8]
+    assert [s["matchings"] for s in rep["matching_sweeps"]] == [26, 76, 232, 764]
+    assert all(s["failures"] == [] for s in rep["matching_sweeps"])
+    assert len(rep["notes"]) == 1 and rep["notes"][0]["entry"] == "Example-2.4-S2"
