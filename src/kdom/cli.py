@@ -22,6 +22,7 @@ from .verifier import (
     audit_small_theorems,
     characterize,
     check_theorem,
+    horizon,
     verify_bound,
 )
 
@@ -160,6 +161,9 @@ def _cmd_check_theorem(args):
             _emit(f"note {nt['entry']}: {nt['kind']}: {nt['detail']}\n")
         for caveat in doc["caveats"]:
             _emit(f"caveat: {caveat}\n")
+        top = horizon(doc["target_offset"])
+        if doc["n_max"] >= top:
+            _emit(f"complete for all n: gamma3+kappa <= n+2, so extremal graphs have n <= {top}\n")
     if args.strict_paper and (doc["extra"] or doc["missing"]):
         return 1
     return 0

@@ -23,8 +23,9 @@ two last vertices would give a smaller string.  The connected level is the
 kept graphs that are connected.  Levels are cached, so repeat calls are
 free within a process.
 
-Guards: n <= 8 by default; allow_large=True (`kdom enumerate
---allow-large`) lifts it to the hard ceiling 9.
+Guards (check_guard, which builds nothing): n <= 8 by default;
+allow_large=True (`kdom enumerate --allow-large`) lifts it to the hard
+ceiling 9.
 """
 
 from .graphs import Graph, is_connected
@@ -59,14 +60,10 @@ def _extend_level(parents, m):
     return tuple(out)
 
 
-def connected_graphs(n, allow_large=False):
-    """All connected graphs on n vertices, one canonical representative each.
-
-    Returns a tuple of graphs whose labeling is canonical, ordered by
-    ascending canonical graph6 string.
-    """
-    if n < 1:
-        raise ValueError("connected_graphs requires n >= 1")
+def check_guard(n, allow_large=False, least=1):
+    """Raise ValueError unless levels least..n may be built; builds nothing."""
+    if n < least:
+        raise ValueError(f"n={n} is below the smallest level {least}")
     if n > MAX_CEILING:
         raise ValueError(f"n={n} exceeds the hard ceiling {MAX_CEILING}")
     if n > DEFAULT_GUARD and not allow_large:
@@ -74,6 +71,15 @@ def connected_graphs(n, allow_large=False):
             f"n={n} exceeds the default guard {DEFAULT_GUARD}; only `kdom enumerate "
             f"--allow-large` or connected_graphs(n, allow_large=True) reach n={MAX_CEILING}"
         )
+
+
+def connected_graphs(n, allow_large=False):
+    """All connected graphs on n vertices, one canonical representative each.
+
+    Returns a tuple of graphs whose labeling is canonical, ordered by
+    ascending canonical graph6 string.
+    """
+    check_guard(n, allow_large)
     for m in range(2, n + 1):
         if m not in _levels:
             graphs = _extend_level(_all_levels[m - 1], m)

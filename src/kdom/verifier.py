@@ -14,6 +14,15 @@ Each sweep returns the plain dict that its CLI command prints under
 --json, so the keys and the level shape {"n", "extremal"} live only here;
 identical inputs give byte-identical JSON, and no timing is recorded.
 Levels start at n=3, the smallest order where the source bounds apply.
+
+Horizon lemma: a connected graph with n >= 3 has gamma3+kappa <= n+2.
+Let delta be the minimum degree.  If delta >= 2, any n-delta+2 vertices
+3-dominate (an outside vertex misses at most n-1-delta of them), so
+gamma3 <= n-delta+2, and kappa <= delta.  If delta <= 1, kappa <= 1 and
+gamma3 <= n.  So a graph with gamma3+kappa = 2n-t has n <= t+2, and
+characterize() (check_theorem() too) solves only the levels up to t+2,
+reporting higher ones empty unbuilt; verify_bound() and the audit stay
+exhaustive as the independent checks.
 """
 
 from dataclasses import dataclass
@@ -22,7 +31,7 @@ from functools import lru_cache
 from .catalog import DiscrepancyNote, THEOREM_OFFSETS, checked_catalog, notes_for
 from .connectivity import vertex_connectivity
 from .domination import gamma3, gamma_k, is_k_dominating
-from .enumeration import connected_graphs
+from .enumeration import MAX_CEILING, check_guard, connected_graphs
 from .graphs import (
     Graph,
     all_matchings,
@@ -63,15 +72,19 @@ def level_records(n):
     return tuple(out)
 
 
-def _levels(n_max):
-    """(n, level_records(n)) pairs for 3 <= n <= n_max.
+def horizon(target_offset):
+    """The largest n with a graph of gamma3+kappa = 2n - target_offset, by the lemma."""
+    return target_offset + 2
 
-    connected_graphs(n_max) runs first, so a guarded n_max is refused
+
+def _levels(n_max, top=MAX_CEILING):
+    """(n, level_records(n)) pairs for 3 <= n <= n_max, with () unsolved for n > top.
+
+    The guard runs first, so a guarded or too small n_max is refused
     before any level is built or solved.
     """
-    if n_max >= _MIN_LEVEL:
-        connected_graphs(n_max)
-    return [(n, level_records(n)) for n in range(_MIN_LEVEL, n_max + 1)]
+    check_guard(n_max, least=_MIN_LEVEL)
+    return [(n, level_records(n) if n <= top else ()) for n in range(_MIN_LEVEL, n_max + 1)]
 
 
 def verify_bound(n_max=DEFAULT_N_MAX):
@@ -107,7 +120,7 @@ def characterize(target_offset, n_max=DEFAULT_N_MAX):
                 "n": n,
                 "extremal": [r.to_jsonable() for r in recs if r.total == 2 * n - target_offset],
             }
-            for n, recs in _levels(n_max)
+            for n, recs in _levels(n_max, horizon(target_offset))
         ],
     }
 
@@ -142,9 +155,9 @@ def check_theorem(theorem, n_max=DEFAULT_N_MAX):
             matched_canon.add(entry.canon)
         else:
             extra.append({"name": entry.name, "computed_sum": entry.gamma3 + entry.kappa})
-    if offset + 2 > n_max:
+    if horizon(offset) > n_max:  # K_n attains gamma3+kappa = n+2
         caveats.append(
-            f"the complete-graph member K{offset + 2} lies beyond n_max={n_max}"
+            f"the complete-graph member K{horizon(offset)} lies beyond n_max={n_max}"
         )
 
     return {

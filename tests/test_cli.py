@@ -94,6 +94,10 @@ def test_enumerate_guards(capsys, monkeypatch):
         code, _, err = run(capsys, *command, "--max-n", "9")
         # the sweeps have no --allow-large; the message must not suggest one
         assert code == 2 and "kdom enumerate --allow-large" in err, command
+        # below K3 no level exists, so no sweep has anything to report
+        for low in ("2", "1", "-3"):
+            got = run(capsys, *command, "--max-n", low)
+            assert got == (2, "", f"error: n={low} is below the smallest level 3\n"), command
 
 
 def test_verify_bound_text(capsys):
@@ -116,6 +120,10 @@ def test_check_theorem_exit_codes(capsys):
     assert code == 1
     diamond = canonical_graph6(remove_matching(complete(4), [(0, 1)]))
     assert f"missing (1): {diamond}\n" in out
+    # n_max reaches the horizon n = offset + 2 for 3.3 but not for 3.5
+    assert out.endswith("complete for all n: gamma3+kappa <= n+2, so extremal graphs have n <= 5\n")
+    code, out, _ = run(capsys, "check-theorem", "3.5", "--max-n", "6")
+    assert code == 0 and "complete for all n" not in out
 
 
 def test_check_theorem_json_deterministic(capsys):

@@ -1,4 +1,5 @@
 import doctest
+import json
 import os
 import subprocess
 import sys
@@ -38,3 +39,14 @@ def test_readme_examples_run():
     readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
     result = doctest.testfile(readme, module_relative=False)
     assert result.attempted > 0 and result.failed == 0
+
+
+def test_python_m_kdom_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kdom.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "kdom", "check-theorem", "3.1", "--max-n", "3", "--json"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["confirmed"] == ["K3"]

@@ -11,6 +11,7 @@ from kdom import (
     remove_matching,
     vertex_connectivity,
 )
+from kdom.cli import main
 from kdom.isomorphism import canonical_graph6
 from kdom.verifier import (
     audit_small_theorems,
@@ -62,12 +63,38 @@ def test_characterize_rejects_bad_offsets():
         characterize(6, 5)
 
 
-def test_characterize_empty_beyond_the_largest_family_member():
-    # observed empirically: the extremal sets die out above n = offset + 2
-    for offset in (1, 2, 3, 4):
-        per = by_n(characterize(offset, 7))
-        for n in range(offset + 3, 8):
-            assert per[n] == [], (offset, n)
+def test_cut_characterize_equals_an_exhaustive_filter():
+    # characterize solves only n <= offset + 2; every level must still agree
+    # with the extremal set read off the full level table
+    for n_max in (7, 8):
+        for offset in range(1, 6):
+            doc = characterize(offset, n_max)
+            assert [level["n"] for level in doc["levels"]] == list(range(3, n_max + 1))
+            for level in doc["levels"]:
+                n = level["n"]
+                want = [r.to_jsonable() for r in level_records(n) if r.total == 2 * n - offset]
+                assert level["extremal"] == want, (offset, n_max, n)
+
+
+def test_horizon_lemma_bound_is_attained_and_never_exceeded():
+    for n in range(3, 9):
+        assert max(rec.total for rec in level_records(n)) == n + 2, n
+
+
+def test_check_theorem_solves_only_the_levels_below_the_horizon(monkeypatch, capsys):
+    solved = []
+
+    def counting(n):
+        solved.append(n)
+        return level_records(n)
+
+    monkeypatch.setattr(kdom.verifier, "level_records", counting)
+    for theorem, levels in (("3.1", [3]), ("3.4", [3, 4, 5, 6])):
+        solved.clear()
+        assert main(["check-theorem", theorem, "--max-n", "8", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [level["n"] for level in doc["levels"]] == list(range(3, 9))
+        assert solved == levels, theorem
 
 
 def test_check_theorem_32_all_confirmed():
