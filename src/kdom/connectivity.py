@@ -2,11 +2,12 @@
 
 Local connectivity kappa(s, t) of a non-adjacent pair is, by Menger's
 theorem, the max flow from s_out to t_in on the vertex-split digraph:
-v_in -> v_out of capacity 1, and infinite arcs u_out -> v_in both ways
-for each edge.  No augmenting path can use the split arc of s or t (it
-would enter the source or leave the sink), so one digraph serves every
-pair: it is built once per graph, and each flow copies only the
-capacities.
+v_in -> v_out of capacity 1, and uncapacitated arcs u_out -> v_in both
+ways for each edge.  The digraph is never built: a unit vertex-disjoint
+flow (Even and Tarjan, *Network flow and testing graph connectivity*,
+SIAM J. Comput. 4, 1975) fits in bitmasks beside g.adj.  It starts from
+the paths s-x-t through the common neighbours x and augments along paths
+found by a BFS whose layers alternate between out-nodes and in-nodes.
 
 kappa itself comes from Esfahanian and Hakimi (*On computing the
 connectivity of graphs and digraphs*, Networks 14, 1984).  Take a vertex
@@ -21,11 +22,16 @@ degree).
 
 The reported certificate is the first non-adjacent pair in lexicographic
 order that attains kappa, found by flows stopped at kappa + 1.  The one
-flow that ends below that bound is a maximum flow, and the cut is read
-from it: the split arcs leaving the set reachable from s in the residual
-graph.  That set is the same for every maximum flow (it is the source
-side of the minimum cut closest to s), so the cut depends only on the
-graph and the pair, not on the order of the augmentations.  Complete
+flow that ends below that bound is a maximum flow, and its failed last
+search has marked the residual set reachable from s; the cut is the
+vertices whose v_in it reached and whose v_out it did not.  The cut
+depends only on the graph and the pair: the value and that set are the
+same for every maximum flow (the source side of the minimum cut closest
+to s), whatever the starting paths and the order of augmentations.  Each
+augmenting path is walked back from t_in, taking the lowest residual
+predecessor in the layer below and updating the flow on the way; an
+update touches only the arc between two later layers, so every
+predecessor picked afterwards still has its residual arc.  Complete
 graphs are n-1 by convention, disconnected input is 0.
 """
 
@@ -45,82 +51,67 @@ class CutResult:
     separated: tuple | None
 
 
-def _split_network(g):
-    """(heads, caps, arcs) of the vertex-split digraph of g.
-
-    Node 2v is v_in and 2v+1 is v_out; arc i ^ 1 is the reverse of arc i.
-    """
-    inf = g.n + 1
-    heads = []
-    caps = []
-    arcs = [[] for _ in range(2 * g.n)]
-
-    def add_arc(a, b, cap):
-        arcs[a].append(len(heads))
-        heads.append(b)
-        caps.append(cap)
-        arcs[b].append(len(heads))
-        heads.append(a)
-        caps.append(0)
-
-    for v in range(g.n):
-        add_arc(2 * v, 2 * v + 1, 1)
-    for u, v in g.edges():
-        add_arc(2 * u + 1, 2 * v, inf)
-        add_arc(2 * v + 1, 2 * u, inf)
-    return heads, caps, arcs
-
-
-def _max_flow_vertex_cut(network, s, t, stop_at):
+def _max_flow_vertex_cut(adj, s, t, stop_at):
     """Max vertex-disjoint s-t paths; returns (value, cut or None).
 
-    Aborts with cut=None once value reaches the int stop_at (callers only
-    care about strictly smaller values).
+    Stops with cut=None once value is at least the int stop_at (callers
+    only care about strictly smaller values).  adj is the graph's bitmask
+    rows.
     """
-    heads, base_caps, arcs = network
-    caps = base_caps[:]
-    source, sink = 2 * s + 1, 2 * t
-    value = 0
-    while True:
-        if value >= stop_at:
-            return value, None
-        # BFS for an augmenting path in the residual graph
-        parent_arc = [-1] * len(arcs)
-        parent_arc[source] = -2
-        queue = [source]
-        while queue and parent_arc[sink] == -1:
-            nxt = []
-            for a in queue:
-                for ai in arcs[a]:
-                    b = heads[ai]
-                    if caps[ai] > 0 and parent_arc[b] == -1:
-                        parent_arc[b] = ai
-                        nxt.append(b)
-            queue = nxt
-        if parent_arc[sink] == -1:
-            break
-        # bottleneck is 1: every s-t path crosses a unit split arc
-        node = sink
-        while node != source:
-            ai = parent_arc[node]
-            caps[ai] -= 1
-            caps[ai ^ 1] += 1
-            node = heads[ai ^ 1]
+    used = adj[s] & adj[t]  # split arcs v_in -> v_out carrying flow
+    into = [0] * len(adj)  # into[v]: the u whose arc u_out -> v_in carries flow
+    out = [0] * len(adj)  # out[u]: the same arcs, by tail
+    for x in iter_bits(used):
+        into[x], out[x] = 1 << s, 1 << t
+    out[s] = into[t] = used
+    value = used.bit_count()
+    while value < stop_at:
+        # BFS in alternating layers: out-nodes, in-nodes, out-nodes, ...
+        front = seen_out = 1 << s
+        seen_in = 0
+        layers = [front]
+        while front:
+            nxt = front & used
+            for u in iter_bits(front):
+                nxt |= adj[u]
+            front = nxt & ~seen_in
+            seen_in |= front
+            layers.append(front)
+            if (front >> t) & 1:
+                break
+            nxt = front & ~used
+            for v in iter_bits(front):
+                nxt |= into[v]
+            front = nxt & ~seen_out
+            seen_out |= front
+            layers.append(front)
+        else:
+            cut = seen_in & ~seen_out & ~(1 << s | 1 << t)
+            return value, tuple(iter_bits(cut))
+        # walk back from t_in, augmenting by 1 on the way: every s-t path
+        # crosses a unit split arc
+        v = t
+        for k in range(len(layers) - 2, 0, -2):
+            u = _low(layers[k] & (adj[v] | (used & 1 << v)))
+            if u == v:
+                used &= ~(1 << v)
+            else:
+                into[v] |= 1 << u
+                out[u] |= 1 << v
+            v = _low(layers[k - 1] & (out[u] | (~used & 1 << u)))
+            if v == u:
+                used |= 1 << u
+            else:
+                into[v] &= ~(1 << u)
+                out[u] &= ~(1 << v)
+        into[v] |= 1 << s  # the first arc leaves s_out
+        out[s] |= 1 << v
         value += 1
+    return value, None
 
-    # residual reachability from the source gives the cut
-    reach = [False] * len(arcs)
-    reach[source] = True
-    stack = [source]
-    while stack:
-        a = stack.pop()
-        for ai in arcs[a]:
-            b = heads[ai]
-            if caps[ai] > 0 and not reach[b]:
-                reach[b] = True
-                stack.append(b)
-    cut = tuple(v for v in range(len(arcs) // 2) if v not in (s, t) and reach[2 * v] and not reach[2 * v + 1])
-    return value, cut
+
+def _low(mask):
+    return (mask & -mask).bit_length() - 1
 
 
 def vertex_connectivity(g):
@@ -134,7 +125,6 @@ def vertex_connectivity(g):
         return CutResult(0, (), (0, other))
     if g.edge_count() == n * (n - 1) // 2:
         return CutResult(n - 1, (), None)
-    network = _split_network(g)
     degs = [row.bit_count() for row in g.adj]
     kappa = min(degs)
     v = degs.index(kappa)
@@ -143,11 +133,11 @@ def vertex_connectivity(g):
     for s, t in pairs:
         if kappa == 1:
             break  # g is connected, so kappa >= 1
-        kappa = min(kappa, _max_flow_vertex_cut(network, s, t, kappa)[0])
+        kappa = min(kappa, _max_flow_vertex_cut(g.adj, s, t, kappa)[0])
     for s, t in combinations(range(n), 2):
         if g.has_edge(s, t):
             continue
-        value, cut = _max_flow_vertex_cut(network, s, t, kappa + 1)
+        value, cut = _max_flow_vertex_cut(g.adj, s, t, kappa + 1)
         if value == kappa:
             return CutResult(kappa, cut, (s, t))
     raise AssertionError("no pair attains the computed kappa")

@@ -155,10 +155,6 @@ def check_theorem(theorem, n_max=DEFAULT_N_MAX):
             matched_canon.add(entry.canon)
         else:
             extra.append({"name": entry.name, "computed_sum": entry.gamma3 + entry.kappa})
-    if horizon(offset) > n_max:  # K_n attains gamma3+kappa = n+2
-        caveats.append(
-            f"the complete-graph member K{horizon(offset)} lies beyond n_max={n_max}"
-        )
 
     return {
         "theorem": theorem,

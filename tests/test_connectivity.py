@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -5,8 +6,10 @@ import pytest
 
 from kdom import (
     Graph,
+    build_family,
     complete,
     complete_bipartite,
+    connected_graphs,
     cycle,
     disjoint_union,
     friendship,
@@ -20,9 +23,32 @@ from kdom.connectivity import CutResult, vertex_connectivity
 from oracles import _connected_after_removal, brute_force_connectivity, brute_force_cut
 
 
+# SHA-256 of repr((kappa, cut, separated)) over connected_graphs(3..8) and
+# kappa_corpus(), pinned while kappa still ran its flows on an explicit
+# vertex-split digraph
+GOLDEN_KAPPA_SHA256 = "8b4d252c021de1f6b542c11d908718983a9ecbfcf40034990d70ea44f65226b1"
+LARGE_FAMILIES = (
+    "C62",
+    "P62",
+    "W62",
+    "complement(C62)",
+    "minus_matching(K62,perfect)",
+    "K{31,31}",
+    "join(C31,C31)",
+)
+
+
 def random_graph(n, rng, p=0.5):
     edges = [e for e in combinations(range(n), 2) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def kappa_corpus():
+    """300 seeded G(n, p) graphs with n in 2..62, then the dense and sparse
+    62-vertex families."""
+    rng = random.Random(12)
+    graphs = [random_graph(rng.randint(2, 62), rng, p=rng.random()) for _ in range(300)]
+    return graphs + [build_family(text) for text in LARGE_FAMILIES]
 
 
 def test_known_values():
@@ -110,3 +136,45 @@ def test_kappa_at_most_min_degree():
 def test_join_with_k1_increments_kappa():
     for g in (path(4), cycle(5), complete_bipartite(2, 3), complete_bipartite(1, 3)):
         assert vertex_connectivity(join(complete(1), g)).kappa == vertex_connectivity(g).kappa + 1
+
+
+def test_outputs_match_golden_digest():
+    graphs = [g for n in range(3, 9) for g in connected_graphs(n)] + kappa_corpus()
+    digest = hashlib.sha256()
+    for g in graphs:
+        res = vertex_connectivity(g)
+        digest.update(repr((res.kappa, res.cut, res.separated)).encode())
+    assert digest.hexdigest() == GOLDEN_KAPPA_SHA256
+
+
+def test_networkx_cross_check_beyond_brute_force():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import build_auxiliary_node_connectivity, local_node_connectivity
+
+    rng = random.Random(34)
+    for _ in range(40):
+        g = random_graph(rng.randint(10, 30), rng, p=rng.uniform(0.15, 0.9))
+        G = nx.Graph(g.edges())
+        G.add_nodes_from(range(g.n))
+        res = vertex_connectivity(g)
+        assert res.kappa == nx.node_connectivity(G), g.edges()
+        assert len(res.cut) == res.kappa
+        if res.separated is None:
+            assert g.edge_count() == g.n * (g.n - 1) // 2
+            continue
+        assert not _connected_after_removal(g, set(res.cut))
+        aux = build_auxiliary_node_connectivity(G)
+        for s, t in combinations(range(g.n), 2):
+            if (s, t) == res.separated:
+                break
+            if not g.has_edge(s, t):
+                assert local_node_connectivity(G, s, t, auxiliary=aux) > res.kappa, (g.edges(), s, t)
+
+
+def test_dense_62_vertex_closed_forms():
+    expected = {"complement(C62)": 59, "minus_matching(K62,perfect)": 60, "K{31,31}": 31, "join(C31,C31)": 33}
+    for text, kappa in expected.items():
+        g = build_family(text)
+        res = vertex_connectivity(g)
+        assert res.kappa == kappa and len(res.cut) == kappa, text
+        assert not _connected_after_removal(g, set(res.cut)), text

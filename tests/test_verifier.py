@@ -2,6 +2,7 @@ import json
 
 import kdom.verifier
 from kdom import (
+    checked_catalog,
     complete,
     connected_graphs,
     gamma3,
@@ -11,12 +12,14 @@ from kdom import (
     remove_matching,
     vertex_connectivity,
 )
+from kdom.catalog import THEOREM_OFFSETS
 from kdom.cli import main
 from kdom.isomorphism import canonical_graph6
 from kdom.verifier import (
     audit_small_theorems,
     characterize,
     check_theorem,
+    horizon,
     level_records,
     verify_bound,
 )
@@ -142,7 +145,11 @@ def test_check_theorem_35_audit_states():
 
 def test_check_theorem_horizon_caveat():
     rep = check_theorem("3.5", 6)
-    assert any("K7" in c for c in rep["caveats"])
+    # the catalog's K{t+2} entry is the one caveat naming the complete graph
+    assert sum("K7 " in c for c in rep["caveats"]) == 1
+    assert sum("K6 " in c for c in check_theorem("3.4", 5)["caveats"]) == 1
+    names = {(e.theorem, e.name) for e in checked_catalog()[0]}
+    assert all((th, f"K{horizon(t)}") in names for th, t in THEOREM_OFFSETS.items())
     assert all(e["name"] != "K7" for e in rep["extra"])
 
 
