@@ -17,6 +17,7 @@ from .domination import gamma_k
 from .enumeration import connected_graphs
 from .families import FamilyParseError, build_family
 from .graphs import graph6_decode, graph6_encode, max_degree, min_degree, parse_edge_list
+from .split import split_map
 from .verifier import (
     DEFAULT_N_MAX,
     audit_small_theorems,
@@ -64,30 +65,31 @@ def _domination_jsonable(res):
     return {"number": res.number, "witness": list(res.witness)}
 
 
+def _invariants_row(g):
+    """One graph's invariants as a dict of plain values, which a split batch can send back."""
+    gamma = gamma_k(g, 1, "k-domination")
+    g3 = gamma_k(g, 3, "k-domination")
+    double = gamma_k(g, 2, "k-tuple")
+    cut = vertex_connectivity(g)
+    return {
+        "graph6": graph6_encode(g),
+        "n": g.n,
+        "edges": g.edge_count(),
+        "min_degree": min_degree(g),
+        "max_degree": max_degree(g),
+        "gamma": _domination_jsonable(gamma),
+        "gamma3": _domination_jsonable(g3),
+        "double_domination": _domination_jsonable(double),
+        "kappa": {
+            "kappa": cut.kappa,
+            "cut": list(cut.cut),
+            "separated": list(cut.separated) if cut.separated else None,
+        },
+    }
+
+
 def _cmd_invariants(args):
-    rows = []
-    for g in _load_graphs(args):
-        gamma = gamma_k(g, 1, "k-domination")
-        g3 = gamma_k(g, 3, "k-domination")
-        double = gamma_k(g, 2, "k-tuple")
-        cut = vertex_connectivity(g)
-        rows.append(
-            {
-                "graph6": graph6_encode(g),
-                "n": g.n,
-                "edges": g.edge_count(),
-                "min_degree": min_degree(g),
-                "max_degree": max_degree(g),
-                "gamma": _domination_jsonable(gamma),
-                "gamma3": _domination_jsonable(g3),
-                "double_domination": _domination_jsonable(double),
-                "kappa": {
-                    "kappa": cut.kappa,
-                    "cut": list(cut.cut),
-                    "separated": list(cut.separated) if cut.separated else None,
-                },
-            }
-        )
+    rows = split_map(_invariants_row, _load_graphs(args))
     if args.json:
         _emit_json(rows if len(rows) > 1 else rows[0])
         return 0

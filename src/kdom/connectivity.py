@@ -31,8 +31,12 @@ to s), whatever the starting paths and the order of augmentations.  Each
 augmenting path is walked back from t_in, taking the lowest residual
 predecessor in the layer below and updating the flow on the way; an
 update touches only the arc between two later layers, so every
-predecessor picked afterwards still has its residual arc.  Complete
-graphs are n-1 by convention, disconnected input is 0.
+predecessor picked afterwards still has its residual arc.  The
+Esfahanian-Hakimi flows run from each pair's lower vertex, as the scan's
+do, and the scan reuses them: it skips a pair whose flow already found
+more than kappa paths, and takes the cut of one that ended below its
+stop, a maximum flow from the same side.  Complete graphs are n-1 by
+convention, disconnected input is 0.
 """
 
 from dataclasses import dataclass
@@ -128,16 +132,23 @@ def vertex_connectivity(g):
     degs = [row.bit_count() for row in g.adj]
     kappa = min(degs)
     v = degs.index(kappa)
-    pairs = [(v, u) for u in range(n) if u != v and not g.has_edge(v, u)]
+    # each pair lower vertex first, as the scan below flows it
+    pairs = [(u, v) for u in range(v) if not g.has_edge(v, u)]
+    pairs += [(v, u) for u in range(v + 1, n) if not g.has_edge(v, u)]
     pairs += [(x, y) for x, y in combinations(iter_bits(g.adj[v]), 2) if not g.has_edge(x, y)]
+    known = {}  # pair -> (a lower bound on its local connectivity, its cut or None)
     for s, t in pairs:
         if kappa == 1:
             break  # g is connected, so kappa >= 1
-        kappa = min(kappa, _max_flow_vertex_cut(g.adj, s, t, kappa)[0])
+        value, _ = known[s, t] = _max_flow_vertex_cut(g.adj, s, t, kappa)
+        if value < kappa:
+            kappa = value
     for s, t in combinations(range(n), 2):
         if g.has_edge(s, t):
             continue
-        value, cut = _max_flow_vertex_cut(g.adj, s, t, kappa + 1)
+        value, cut = known.get((s, t), (0, None))
+        if cut is None and value <= kappa:
+            value, cut = _max_flow_vertex_cut(g.adj, s, t, kappa + 1)
         if value == kappa:
             return CutResult(kappa, cut, (s, t))
     raise AssertionError("no pair attains the computed kappa")

@@ -21,7 +21,9 @@ every level in graph6 order.  A new column whose adjacency to the first
 m-2 vertices reads below the parent's last column is skipped: swapping the
 two last vertices would give a smaller string.  The connected level is the
 kept graphs that are connected.  Levels are cached, so repeat calls are
-free within a process.
+free within a process.  Each parent's children depend only on that
+parent, so a level's parents go through kdom.split.split_map, which
+hands every other one to a forked child on a host with two CPUs.
 
 Guards (check_guard, which builds nothing): n <= 8 by default;
 allow_large=True (`kdom enumerate --allow-large`) lifts it to the hard
@@ -30,6 +32,7 @@ ceiling 9.
 
 from .graphs import Graph, is_connected
 from .isomorphism import is_lex_min
+from .split import split_map
 
 DEFAULT_GUARD = 8
 MAX_CEILING = 9  # level 10 needs about 12M graphs and hours
@@ -48,16 +51,19 @@ def _extend_level(parents, m):
     new = m - 1
     bit = 1 << new
     subsets = [_column(c, new) for c in range(1 << new)]  # new column -> neighbour mask
-    out = []
-    for parent in parents:
-        base = parent.adj
+
+    def children(base):
+        kept = []
         for col in range(_column(base[-1], new - 1) << 1, 1 << new):
             sub = subsets[col]
             rows = [base[v] | bit if (sub >> v) & 1 else base[v] for v in range(new)]
             rows.append(sub)
             if is_lex_min(m, rows):
-                out.append(Graph(m, rows))
-    return tuple(out)
+                kept.append(tuple(rows))
+        return kept
+
+    per_parent = split_map(children, [p.adj for p in parents])
+    return tuple(Graph(m, rows) for kept in per_parent for rows in kept)
 
 
 def check_guard(n, allow_large=False, least=1):

@@ -41,6 +41,7 @@ from .graphs import (
     min_degree,
     remove_matching,
 )
+from .split import split_map
 
 DEFAULT_N_MAX = 8
 _MIN_LEVEL = 3
@@ -65,11 +66,12 @@ class GraphRecord:
 @lru_cache(maxsize=None)
 def level_records(n):
     """Invariant table of level n, one GraphRecord per graph in connected_graphs(n) order."""
-    out = []
-    for g in connected_graphs(n):
-        g3, kappa = gamma3(g).number, vertex_connectivity(g).kappa
-        out.append(GraphRecord(graph6_encode(g), g3, kappa, min_degree(g), max_degree(g)))
-    return tuple(out)
+    level = connected_graphs(n)
+    solved = split_map(lambda g: (gamma3(g).number, vertex_connectivity(g).kappa), level)
+    return tuple(
+        GraphRecord(graph6_encode(g), g3, kappa, min_degree(g), max_degree(g))
+        for g, (g3, kappa) in zip(level, solved)
+    )
 
 
 def horizon(target_offset):
@@ -183,7 +185,8 @@ def audit_small_theorems(n_max=7):
     gk_fail = []  # incidental: gamma + kappa > n
     checked = 0
     for n, recs in _levels(n_max):
-        for g, rec in zip(connected_graphs(n), recs):
+        gammas = split_map(lambda g: gamma_k(g, 1, "k-domination").number, connected_graphs(n))
+        for gamma, rec in zip(gammas, recs):
             checked += 1
             if (rec.gamma3 == n) != (rec.max_degree <= 2):
                 delta_fail.append([rec.g6, rec.gamma3, rec.max_degree])
@@ -191,7 +194,6 @@ def audit_small_theorems(n_max=7):
                 obs_fail.append([rec.g6, rec.gamma3])
             if rec.kappa > rec.min_degree:
                 kappa_fail.append([rec.g6, rec.kappa, rec.min_degree])
-            gamma = gamma_k(g, 1, "k-domination").number
             if gamma + rec.kappa > n:
                 gk_fail.append([rec.g6, gamma, rec.kappa])
 

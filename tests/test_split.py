@@ -1,0 +1,151 @@
+"""split_map gives the serial results, in order, whether or not it forks.
+
+Each batch runs twice: once with the split off (the CPU count reads 1)
+and once with it on (the CPU count reads 2, whatever the host has), where
+a wrapper on os.fork counts the forks and one on os.waitpid records the
+child's exit status, so a test cannot pass on a serial fallback.
+"""
+
+import os
+import random
+import threading
+from itertools import combinations
+
+import pytest
+
+from kdom import Graph, enumeration, graph6_encode, split
+from kdom.cli import main
+from kdom.enumeration import connected_graphs
+from kdom.verifier import level_records
+
+pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="split_map forks only where os.fork exists")
+
+
+@pytest.fixture
+def serial(monkeypatch):
+    monkeypatch.setattr(split, "_cpus", lambda: 1)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """{'forks': forks made, 'statuses': exit statuses of the reaped children}."""
+    seen = {"forks": 0, "statuses": []}
+    real_fork, real_waitpid = os.fork, os.waitpid
+
+    def fork():
+        seen["forks"] += 1
+        return real_fork()
+
+    def waitpid(pid, options):
+        reaped = real_waitpid(pid, options)
+        seen["statuses"].append(reaped[1])
+        return reaped
+
+    monkeypatch.setattr(split, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    return seen
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def build_levels(top):
+    """Adjacency rows of every level 1..top, each built by _extend_level."""
+    levels = [enumeration._all_levels[1]]
+    for m in range(2, top + 1):
+        levels.append(enumeration._extend_level(levels[-1], m))
+    return [tuple(g.adj for g in level) for level in levels]
+
+
+def test_split_map_keeps_the_order_of_any_batch(forks):
+    for size in (0, 1, split.SPLIT_MIN - 1, split.SPLIT_MIN, split.SPLIT_MIN + 1, 1000):
+        items = list(range(size))
+        assert split.split_map(lambda x: (x, str(x), [x] * (x % 3), None), items) == [
+            (x, str(x), [x] * (x % 3), None) for x in items
+        ]
+    assert forks["forks"] == 3 and forks["statuses"] == [0, 0, 0]
+    assert_no_child_left()
+
+
+def test_levels_up_to_8_equal_serial_and_split(monkeypatch, forks):
+    split_levels = build_levels(8)
+    assert forks["forks"] >= 2 and set(forks["statuses"]) == {0}  # levels 7 and 8 at least
+    monkeypatch.setattr(split, "_cpus", lambda: 1)
+    assert build_levels(8) == split_levels
+    assert [len(level) for level in split_levels] == [1, 2, 4, 11, 34, 156, 1044, 12346]  # OEIS A000088
+    assert_no_child_left()
+
+
+def test_level_records_equal_serial_and_split(monkeypatch, forks):
+    connected_graphs(7)  # built and cached first
+    made = forks["forks"]
+    split_records = level_records.__wrapped__(7)
+    assert forks["forks"] == made + 1 and set(forks["statuses"]) == {0}
+    monkeypatch.setattr(split, "_cpus", lambda: 1)
+    assert level_records.__wrapped__(7) == split_records == level_records(7)
+
+
+def seeded_graphs(count):
+    """G(n, p) graphs with n 6..14, some disconnected or with isolated vertices."""
+    rng = random.Random(1313)
+    out = []
+    for i in range(count):
+        n = 6 + i % 9
+        p = (0.2, 0.35, 0.5, 0.8)[i % 4]
+        out.append(Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    return out
+
+
+def invariants(capsys, path):
+    code = main(["invariants", "--file", str(path), "--json"])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_invariants_equal_serial_and_split(monkeypatch, capsys, tmp_path, forks):
+    graphs = seeded_graphs(split.SPLIT_MIN)
+    assert any(min(row.bit_count() for row in g.adj) == 0 for g in graphs)  # double domination infeasible
+    path = tmp_path / "graphs.g6"
+    path.write_text("".join(graph6_encode(g) + "\n" for g in graphs))
+    split_run = invariants(capsys, path)
+    assert forks["forks"] == 1 and forks["statuses"] == [0]
+    monkeypatch.setattr(split, "_cpus", lambda: 1)
+    assert invariants(capsys, path) == split_run
+    assert split_run[0] == 0 and split_run[2] == ""
+
+
+@pytest.mark.parametrize("index", [1, 2])
+def test_a_failing_item_raises_the_serial_error(monkeypatch, capsys, tmp_path, forks, index):
+    """An empty graph at an odd index fails in the child, at an even one in the parent."""
+    lines = [graph6_encode(g) for g in seeded_graphs(split.SPLIT_MIN + 1)]
+    lines[index] = "?"  # n = 0
+    path = tmp_path / "graphs.g6"
+    path.write_text("".join(line + "\n" for line in lines))
+    code, out, err = invariants(capsys, path)
+    assert forks["forks"] == 1 and len(forks["statuses"]) == 1
+    assert code == 2 and out == ""
+    assert "empty graph" in err and "Traceback" not in err
+    assert_no_child_left()
+    monkeypatch.setattr(split, "_cpus", lambda: 1)
+    assert invariants(capsys, path) == (code, out, err)
+
+
+def test_small_batches_and_one_cpu_stay_in_process(serial):
+    assert split.split_map(abs, range(-5000, 0)) == list(range(5000, 0, -1))
+
+
+def test_no_fork_while_another_thread_runs(forks):
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    waiter.start()
+    try:
+        assert split.split_map(abs, range(-500, 0)) == list(range(500, 0, -1))
+    finally:
+        release.set()
+        waiter.join(60)
+    assert not waiter.is_alive()
+    assert forks["forks"] == 0
