@@ -12,7 +12,7 @@ figure duplicates, and a fails-target note is attached to every entry that
 misses its target.  Nothing is silently corrected.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .connectivity import vertex_connectivity
@@ -26,29 +26,23 @@ THEOREM_OFFSETS = {"3.1": 1, "3.2": 2, "3.3": 3, "3.4": 4, "3.5": 5}
 NOTE_KINDS = ("fails-target", "label-mismatch", "missing-from-statement", "ambiguous-figure")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """One named graph with provenance and its invariants."""
+class CatalogEntry(namedtuple("CatalogEntry", "name theorem source graph canon gamma3 kappa")):
+    """One named graph with provenance and its invariants.
 
-    name: str
-    theorem: str
-    source: str  # "statement" | "proof" | figure id such as "ft102"
-    graph: Graph
-    canon: str  # canonical graph6
-    gamma3: int
-    kappa: int
+    source is "statement", "proof" or a figure id such as "ft102"; canon
+    is the canonical graph6 string.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DiscrepancyNote:
-    entry: str
-    theorem: str
-    kind: str
-    detail: str
+class DiscrepancyNote(namedtuple("DiscrepancyNote", "entry theorem kind detail")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in NOTE_KINDS:
-            raise ValueError(f"unknown note kind {self.kind!r}")
+    def __new__(cls, entry, theorem, kind, detail):
+        if kind not in NOTE_KINDS:
+            raise ValueError(f"unknown note kind {kind!r}")
+        return super().__new__(cls, entry, theorem, kind, detail)
 
     def to_jsonable(self):
         return {"entry": self.entry, "kind": self.kind, "detail": self.detail}

@@ -39,20 +39,17 @@ stop, a maximum flow from the same side.  Complete graphs are n-1 by
 convention, disconnected input is 0.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .graphs import component, iter_bits
 
 
-@dataclass(frozen=True)
-class CutResult:
+class CutResult(namedtuple("CutResult", "kappa cut separated")):
     """kappa with a certifying cut; separated is a vertex pair the cut
     disconnects (None for complete graphs, where no cut exists)."""
 
-    kappa: int
-    cut: tuple
-    separated: tuple | None
+    __slots__ = ()
 
 
 def _max_flow_vertex_cut(adj, s, t, stop_at):

@@ -35,22 +35,19 @@ further down, so at least ceil(D / g) vertices remain to add.  On cycles
 and paths the bound is tight, which keeps C62 and P62 to seconds.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graphs import as_mask, iter_bits, mask_of
 
 VARIANTS = ("k-domination", "k-tuple")
 
 
-@dataclass(frozen=True)
-class DominationResult:
+class DominationResult(
+    namedtuple("DominationResult", "number witness variant k feasible", defaults=(True,))
+):
     """Exact minimum with a certifying witness (None when infeasible)."""
 
-    number: int | None
-    witness: tuple | None
-    variant: str
-    k: int
-    feasible: bool = True
+    __slots__ = ()
 
 
 def _check_variant(variant):

@@ -17,6 +17,16 @@ column is lower, so every step strictly lowers the graph6 string whatever
 the completion; the loop ends, and it ends at a labeling the search
 certifies lex-min.
 
+Each node of the search works on bitmasks.  The identity labeling's
+column at position d is bits 0..d-1 of adj[d], and a node holding the
+prefix p_0..p_{d-1} narrows the unplaced vertices to those whose column
+ties it: for each i < d in turn it keeps the vertices adjacent to p_i
+where bit i is 1 and those not adjacent where it is 0.  Where bit i is 1,
+the vertices still tied but not adjacent to p_i have a lower column, the
+first difference being at i.  The lowest such vertex ends the search with
+a smaller prefix; otherwise the search places each tied vertex in
+ascending order and goes one position deeper.
+
 Two prunings drop tied placements whose subtree repeats one already
 searched, so both stay exact: a vertex with a lower twin still unplaced
 (swapping twins is an automorphism fixing the placed prefix), and, below
@@ -27,7 +37,7 @@ multipartite graphs cheap.  Simple and auditable by brute force, which is
 the point; practical partition-refinement tools are out of scope.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graphs import Graph, graph6_encode
 
@@ -36,12 +46,10 @@ MAX_CANON_VERTICES = 14
 _TIED_LEAF = object()  # a subtree outcome: a full placement tied the identity labeling
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(namedtuple("CanonicalForm", "canon_graph6 relabeling")):
     """canon_graph6 plus the relabeling input vertex -> canonical position."""
 
-    canon_graph6: str
-    relabeling: tuple
+    __slots__ = ()
 
 
 def _smaller_prefix(n, adj):
@@ -52,55 +60,50 @@ def _smaller_prefix(n, adj):
     """
     if n <= 1:
         return None
-    target = [0] * n
     twins = [0] * n  # twins[j]: the i < j with the same neighbours as j apart from i and j
     for j in range(1, n):
         row = adj[j]
-        col = 0
         for i in range(j):
-            col = (col << 1) | ((row >> i) & 1)
             if row & ~(1 << i) == adj[i] & ~(1 << j):
                 twins[j] |= 1 << i
-        target[j] = col
+    prefix = []  # the placed vertices, by position
 
-    def dfs(depth, remaining, acc, on_identity_path):
-        # acc[u] = column bits of u against the placed prefix; a smaller
-        # prefix comes back reversed, each frame appending its own vertex
-        want = target[depth]
-        tied = []
-        m = remaining
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            col = acc[u]
-            if col < want:
-                return [u]
-            if col == want and not twins[u] & remaining:
-                tied.append(u)
-            m ^= low
+    def dfs(depth, remaining, on_identity_path):
+        # tied: the unplaced vertices whose column ties bits 0..depth-1 of
+        # adj[depth] so far; lower: those whose column is already lower
+        row = adj[depth]
+        tied = remaining
+        lower = 0
+        for i, p in enumerate(prefix):
+            if row >> i & 1:
+                lower |= tied & ~adj[p]
+                tied &= adj[p]
+            else:
+                tied &= ~adj[p]
+            if not tied:
+                break
+        if lower:
+            return prefix + [(lower & -lower).bit_length() - 1]
         if depth + 1 == n:
             return _TIED_LEAF if tied else None
-        for u in tied:
-            rem = remaining & ~(1 << u)
-            au = adj[u]
-            acc2 = acc.copy()
-            m = rem
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                acc2[v] = (acc2[v] << 1) | ((au >> v) & 1)
-                m ^= low
-            found = dfs(depth + 1, rem, acc2, on_identity_path and u == depth)
+        while tied:
+            low = tied & -tied
+            tied ^= low
+            u = low.bit_length() - 1
+            if twins[u] & remaining:
+                continue
+            prefix.append(u)
+            found = dfs(depth + 1, remaining ^ low, on_identity_path and u == depth)
+            prefix.pop()
             if found is _TIED_LEAF:
                 if not on_identity_path:
                     return found
             elif found is not None:
-                found.append(u)
                 return found
         return None
 
-    found = dfs(0, (1 << n) - 1, [0] * n, True)
-    return None if found is None or found is _TIED_LEAF else found[::-1]
+    found = dfs(0, (1 << n) - 1, True)
+    return None if found is _TIED_LEAF else found
 
 
 def is_lex_min(n, adj):

@@ -25,7 +25,7 @@ reporting higher ones empty unbuilt; verify_bound() and the audit stay
 exhaustive as the independent checks.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .catalog import DiscrepancyNote, THEOREM_OFFSETS, checked_catalog, notes_for
@@ -47,13 +47,8 @@ DEFAULT_N_MAX = 8
 _MIN_LEVEL = 3
 
 
-@dataclass(frozen=True)
-class GraphRecord:
-    g6: str
-    gamma3: int
-    kappa: int
-    min_degree: int
-    max_degree: int
+class GraphRecord(namedtuple("GraphRecord", "g6 gamma3 kappa min_degree max_degree")):
+    __slots__ = ()
 
     @property
     def total(self):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from itertools import combinations
@@ -17,6 +18,7 @@ from kdom import (
     remove_matching,
     wheel,
 )
+from kdom.enumeration import connected_graphs
 from kdom.isomorphism import canonical_form, canonical_graph6, is_lex_min
 
 from oracles import brute_min_graph6, labeled_connected_canonical
@@ -129,6 +131,22 @@ def test_equivalence_relation_spot_checks():
 
 def test_21_connected_classes_on_5_vertices():
     assert len(labeled_connected_canonical(5, canonical_graph6)) == 21
+
+
+def test_placement_search_golden_digest():
+    # one SHA-256 over the levels 1..8 in order and the canonical forms of
+    # a seeded sample of relabeled random graphs: a faster search must
+    # reproduce every string, level order and relabeling exactly
+    digest = hashlib.sha256()
+    for n in range(1, 9):
+        for g in connected_graphs(n):
+            digest.update(graph6_encode(g).encode() + b"\n")
+    rng = random.Random(17)
+    for _ in range(80):
+        n = rng.randint(2, 12)
+        g = permuted(random_graph(n, rng, p=rng.random()), rng)
+        digest.update(repr(canonical_form(g)).encode() + b"\n")
+    assert digest.hexdigest() == "950b6a5156327476b09b4c48cc16db47043daecda705752ab6f544f1a7d125a3"
 
 
 def test_size_guard():
