@@ -18,7 +18,7 @@ from functools import lru_cache
 from .connectivity import vertex_connectivity
 from .domination import gamma3
 from .families import build_family
-from .graphs import Graph, cycle, is_connected
+from .graphs import Graph, is_connected
 from .isomorphism import canonical_graph6
 
 THEOREM_OFFSETS = {"3.1": 1, "3.2": 2, "3.3": 3, "3.4": 4, "3.5": 5}
@@ -48,24 +48,58 @@ class DiscrepancyNote(namedtuple("DiscrepancyNote", "entry theorem kind detail")
         return {"entry": self.entry, "kind": self.kind, "detail": self.detail}
 
 
-# Figure transcriptions, read vertex by vertex from the drawing coordinates.
-_FIGURES = {
-    "T1": ("ft102", 6, ((0, 1), (0, 2), (2, 3), (3, 4), (1, 4), (0, 5), (2, 5), (3, 5), (1, 3), (0, 4), (4, 5))),
-    "T2": ("ft102", 6, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (3, 5), (3, 4), (0, 5))),
-    "T3": ("ft102", 6, ((0, 1), (1, 2), (1, 3), (0, 3), (0, 4), (3, 5), (4, 5), (3, 4), (0, 5))),
-    "T4": ("ft102", 6, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 5), (2, 5), (1, 3))),
-    "T5": ("ft102", 6, ((0, 1), (1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (2, 5), (0, 5), (0, 4))),
-    "T6": ("ft102", 6, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 4), (2, 4), (2, 5), (4, 5), (3, 5))),
-    "T7": ("ft104", 5, ((0, 1), (1, 2), (3, 4), (2, 4), (1, 4), (0, 4))),
-    "T8": ("ft105", 6, ((0, 1), (1, 2), (3, 4), (4, 5), (2, 5), (2, 3), (0, 3))),
-    "T9": ("ft105", 6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (0, 5))),
-    "T10": ("ft107", 6, ((2, 3), (0, 4), (0, 1), (1, 4), (2, 4), (1, 5), (3, 5))),
-    "T11": ("ft107", 6, ((0, 1), (2, 3), (3, 4), (2, 4), (0, 4), (4, 5), (1, 5), (2, 5))),
-    "T12": ("ft107", 6, ((0, 1), (0, 4), (4, 5), (1, 5), (2, 4), (2, 3), (3, 5))),
-}
-
-# C5 with one chord between two non-adjacent vertices (Theorem 3.4's last entry).
-_C5_CHORD = tuple(cycle(5).edges()) + ((0, 2),)
+# (name, theorem, source, recipe); a recipe is DSL text or (n, edges), and the
+# figures' edges are read vertex by vertex from the drawing coordinates.
+_ENTRIES = (
+    ("K3", "3.1", "statement", "K3"),
+    ("K4", "3.2", "statement", "K4"),
+    ("C4", "3.2", "statement", "C4"),
+    ("K{1,2}", "3.2", "statement", "K{1,2}"),
+    ("K5", "3.3", "statement", "K5"),
+    ("C5", "3.3", "statement", "C5"),
+    ("P4", "3.3", "statement", "P4"),
+    ("K6", "3.4", "statement", "K6"),
+    ("K6-PM", "3.4", "statement", "minus_matching(K6,perfect)"),
+    ("C6", "3.4", "statement", "C6"),
+    ("K5-e", "3.4", "statement", "minus_matching(K5,1)"),
+    ("K5-2e", "3.4", "statement", "minus_matching(K5,2)"),
+    ("P5", "3.4", "statement", "P5"),
+    ("P4", "3.4", "statement", "P4"),  # listed by the statement; fails its target
+    ("C3(P2,0,0)", "3.4", "statement", "C3(P2,0,0)"),
+    ("K{1,3}", "3.4", "statement", "K{1,3}"),
+    ("K1+P4", "3.4", "statement", "join(K1,P4)"),
+    # C5 with one chord between two non-adjacent vertices (Theorem 3.4's last entry).
+    ("C5+e", "3.4", "statement", (5, ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4), (0, 2)))),
+    ("K7", "3.5", "statement", "K7"),
+    ("K6-e", "3.5", "statement", "minus_matching(K6,1)"),
+    ("K6-2e", "3.5", "statement", "minus_matching(K6,2)"),
+    ("T1", "3.5", "ft102", (6, ((0, 1), (0, 2), (2, 3), (3, 4), (1, 4), (0, 5), (2, 5), (3, 5), (1, 3), (0, 4), (4, 5)))),
+    ("T2", "3.5", "ft102", (6, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (3, 5), (3, 4), (0, 5)))),
+    ("T3", "3.5", "ft102", (6, ((0, 1), (1, 2), (1, 3), (0, 3), (0, 4), (3, 5), (4, 5), (3, 4), (0, 5)))),
+    ("T4", "3.5", "ft102", (6, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 5), (2, 5), (1, 3)))),
+    ("T5", "3.5", "ft102", (6, ((0, 1), (1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (2, 5), (0, 5), (0, 4)))),
+    ("T6", "3.5", "ft102", (6, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 4), (2, 4), (2, 5), (4, 5), (3, 5)))),
+    ("C6", "3.5", "statement", "C6"),  # listed by the statement; fails its target
+    ("C7", "3.5", "proof", "C7"),
+    ("P6", "3.5", "statement", "P6"),
+    ("K{2,3}", "3.5", "statement", "K{2,3}"),
+    ("K2+3K1", "3.5", "statement", "join(K2,complement(K3))"),
+    ("H1", "3.5", "ft101", "complement(union(P3,union(K1,K1)))"),
+    ("H2", "3.5", "ft101", "complement(union(P3,P2))"),
+    ("F2", "3.5", "statement", "F2"),
+    ("K{1,4}", "3.5", "statement", "K{1,4}"),
+    ("C4(P2,0,0,0)", "3.5", "statement", "C4(P2,0,0,0)"),
+    ("P3(0,P3,0)", "3.5", "statement", "P3(0,P3,0)"),
+    ("C3(2P2,0,0)", "3.5", "statement", "C3(2P2,0,0)"),
+    ("C3(P2,P2,0)", "3.5", "statement", "C3(P2,P2,0)"),
+    ("C3(P3,0,0)", "3.5", "proof", "C3(P3,0,0)"),
+    ("T7", "3.5", "ft104", (5, ((0, 1), (1, 2), (3, 4), (2, 4), (1, 4), (0, 4)))),
+    ("T8", "3.5", "ft105", (6, ((0, 1), (1, 2), (3, 4), (4, 5), (2, 5), (2, 3), (0, 3)))),
+    ("T9", "3.5", "ft105", (6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (0, 5)))),
+    ("T10", "3.5", "ft107", (6, ((2, 3), (0, 4), (0, 1), (1, 4), (2, 4), (1, 5), (3, 5)))),
+    ("T11", "3.5", "ft107", (6, ((0, 1), (2, 3), (3, 4), (2, 4), (0, 4), (4, 5), (1, 5), (2, 5)))),
+    ("T12", "3.5", "ft107", (6, ((0, 1), (0, 4), (4, 5), (1, 5), (2, 4), (2, 3), (3, 5)))),
+)
 
 _STATIC_NOTES = [
     DiscrepancyNote(
@@ -122,62 +156,10 @@ _STATIC_NOTES = [
 @lru_cache(maxsize=None)
 def checked_catalog():
     """(entries, notes): every catalog entry with its invariants, and all notes sorted."""
-    named = []
-
-    def fam(name, theorem, recipe, source="statement"):
-        named.append((name, theorem, source, build_family(recipe)))
-
-    def fig(name, theorem):
-        figure, n, edges = _FIGURES[name]
-        named.append((name, theorem, figure, Graph.from_edges(n, edges)))
-
-    fam("K3", "3.1", "K3")
-
-    fam("K4", "3.2", "K4")
-    fam("C4", "3.2", "C4")
-    fam("K{1,2}", "3.2", "K{1,2}")
-
-    fam("K5", "3.3", "K5")
-    fam("C5", "3.3", "C5")
-    fam("P4", "3.3", "P4")
-
-    fam("K6", "3.4", "K6")
-    fam("K6-PM", "3.4", "minus_matching(K6,perfect)")
-    fam("C6", "3.4", "C6")
-    fam("K5-e", "3.4", "minus_matching(K5,1)")
-    fam("K5-2e", "3.4", "minus_matching(K5,2)")
-    fam("P5", "3.4", "P5")
-    fam("P4", "3.4", "P4")  # listed by the statement; fails its target
-    fam("C3(P2,0,0)", "3.4", "C3(P2,0,0)")
-    fam("K{1,3}", "3.4", "K{1,3}")
-    fam("K1+P4", "3.4", "join(K1,P4)")
-    named.append(("C5+e", "3.4", "statement", Graph.from_edges(5, _C5_CHORD)))
-
-    fam("K7", "3.5", "K7")
-    fam("K6-e", "3.5", "minus_matching(K6,1)")
-    fam("K6-2e", "3.5", "minus_matching(K6,2)")
-    for name in ("T1", "T2", "T3", "T4", "T5", "T6"):
-        fig(name, "3.5")
-    fam("C6", "3.5", "C6")  # listed by the statement; fails its target
-    fam("C7", "3.5", "C7", source="proof")
-    fam("P6", "3.5", "P6")
-    fam("K{2,3}", "3.5", "K{2,3}")
-    fam("K2+3K1", "3.5", "join(K2,complement(K3))")
-    fam("H1", "3.5", "complement(union(P3,union(K1,K1)))", source="ft101")
-    fam("H2", "3.5", "complement(union(P3,P2))", source="ft101")
-    fam("F2", "3.5", "F2")
-    fam("K{1,4}", "3.5", "K{1,4}")
-    fam("C4(P2,0,0,0)", "3.5", "C4(P2,0,0,0)")
-    fam("P3(0,P3,0)", "3.5", "P3(0,P3,0)")
-    fam("C3(2P2,0,0)", "3.5", "C3(2P2,0,0)")
-    fam("C3(P2,P2,0)", "3.5", "C3(P2,P2,0)")
-    fam("C3(P3,0,0)", "3.5", "C3(P3,0,0)", source="proof")
-    for name in ("T7", "T8", "T9", "T10", "T11", "T12"):
-        fig(name, "3.5")
-
     entries = []
     notes = list(_STATIC_NOTES)
-    for name, theorem, source, g in named:
+    for name, theorem, source, recipe in _ENTRIES:
+        g = build_family(recipe) if isinstance(recipe, str) else Graph.from_edges(*recipe)
         if not is_connected(g):
             raise AssertionError(f"catalog entry {name} built a disconnected graph")
         g3, kappa = gamma3(g).number, vertex_connectivity(g).kappa

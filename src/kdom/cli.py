@@ -15,7 +15,7 @@ from .catalog import THEOREM_OFFSETS, canonical_names
 from .connectivity import vertex_connectivity
 from .domination import gamma_k
 from .enumeration import connected_graphs
-from .families import FamilyParseError, build_family
+from .families import build_family
 from .graphs import graph6_decode, graph6_encode, max_degree, min_degree, parse_edge_list
 from .split import split_map
 from .verifier import (
@@ -278,7 +278,7 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.func(args)
-    except (FamilyParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
 

@@ -131,31 +131,21 @@ def complete_bipartite(m, n):
     """K_{m,n}: parts 0..m-1 and m..m+n-1, all cross edges."""
     if m < 0 or n < 0:
         raise ValueError("complete_bipartite requires nonnegative part sizes")
-    left = (1 << m) - 1
-    right = ((1 << n) - 1) << m
-    return Graph(m + n, tuple(right if v < m else left for v in range(m + n)))
+    return join(Graph(m, [0] * m), Graph(n, [0] * n))
 
 
 def wheel(n):
     """Wheel on n vertices: hub n-1 joined to every vertex of cycle(n-1)."""
     if n < 4:
         raise ValueError("wheel requires n >= 4")
-    rim = cycle(n - 1)
-    hub = n - 1
-    rows = [row | (1 << hub) for row in rim.adj]
-    rows.append((1 << hub) - 1)
-    return Graph(n, rows)
+    return join(cycle(n - 1), complete(1))
 
 
 def friendship(n):
     """F_n: n triangles sharing the hub vertex 0; 2n+1 vertices."""
     if n < 1:
         raise ValueError("friendship requires n >= 1")
-    edges = []
-    for i in range(n):
-        a, b = 2 * i + 1, 2 * i + 2
-        edges += [(0, a), (0, b), (a, b)]
-    return Graph.from_edges(2 * n + 1, edges)
+    return join(complete(1), Graph.from_edges(2 * n, [(2 * i, 2 * i + 1) for i in range(n)]))
 
 
 def complement(g):
@@ -213,16 +203,13 @@ def greedy_matching(g, size):
             raise ValueError("matching size must be nonnegative")
     used = 0
     out = []
-    for u in range(g.n):
+    for u, v in g.edges():
         if len(out) == target:
             break
-        if (used >> u) & 1:
-            continue
-        for v in iter_bits(g.adj[u] >> (u + 1) << (u + 1)):
-            if not (used >> v) & 1:
-                out.append((u, v))
-                used |= (1 << u) | (1 << v)
-                break
+        pair = (1 << u) | (1 << v)
+        if not used & pair:
+            out.append((u, v))
+            used |= pair
     if len(out) < target:
         raise ValueError(f"no greedy matching of size {target} found")
     return out

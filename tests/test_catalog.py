@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 from kdom import is_connected
@@ -138,3 +139,13 @@ def test_one_build_canonicalizes_each_entry_once(monkeypatch):
     check_theorem("3.5", 6)
     canonical_names()
     assert len(calls) == 47
+
+
+# SHA-256 of repr(checked_catalog()): every entry's name, theorem, source,
+# labeled edges, canonical graph6 and invariants, and every note, so a
+# change to how the entries are declared or built must reproduce them.
+CATALOG_REPR_SHA256 = "18ffd65235a3ec4ad23f4fbd70cc3535a3d1c84a8e29f0492348fce369ac2ba0"
+
+
+def test_catalog_repr_digest():
+    assert hashlib.sha256(repr(checked_catalog()).encode()).hexdigest() == CATALOG_REPR_SHA256

@@ -59,12 +59,21 @@ def test_invariants_long_cycle_and_path(capsys):
         assert data["kappa"]["kappa"] == kappa
 
 
+# SHA-256 of the text output of `construct --family 'C4(P2,2P3,P4,P3)'`
+# and of `enumerate --n 6`.
+GOLDEN_CONSTRUCT_SHA256 = "fa75224b3d6ba3bff36553ac2e1eb87124983a596c341c439df14d318efefa1e"
+GOLDEN_ENUMERATE_SHA256 = "d0b7bbaf90fd1e431c1ae94492b7f36644d7c3e78069161158a3179ab145d0b2"
+
+
 def test_construct(capsys):
     code, out, _ = run(capsys, "construct", "--family", "minus_matching(K6,perfect)")
     assert code == 0
     assert out.strip() == "E]~o"
     code, out, _ = run(capsys, "construct", "--family", "C4(P2,2P3,P4,P3)", "--json")
     assert code == 0 and json.loads(out)["n"] == 14
+    code, out, _ = run(capsys, "construct", "--family", "C4(P2,2P3,P4,P3)")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CONSTRUCT_SHA256
 
 
 def test_enumerate(capsys):
@@ -72,6 +81,9 @@ def test_enumerate(capsys):
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 6 and lines == sorted(lines)
+    code, out, _ = run(capsys, "enumerate", "--n", "6")
+    assert code == 0 and len(out.splitlines()) == 112
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ENUMERATE_SHA256
 
 
 def test_enumerate_guards(capsys, monkeypatch):
@@ -184,6 +196,8 @@ PETERSEN = Graph.from_edges(
 # SHA-256 of the `invariants --json` output below; it pins every number,
 # witness, cut and separated pair, so a solver change must reproduce them.
 GOLDEN_INVARIANTS_SHA256 = "ea2cbb5ace06d00e618951f9d79df3f9fdd9ffedd86766645df97b1193c27079"
+# ... and of the same command's text output.
+GOLDEN_INVARIANTS_TEXT_SHA256 = "6afd5e2dd24e9d83c577d42d33802760eed9d7d2e5f666ed9b7b906b425534c2"
 
 
 def golden_graphs():
@@ -205,6 +219,9 @@ def test_invariants_golden_output(capsys, tmp_path):
     assert code == 0
     assert len(json.loads(out)) == 44
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_INVARIANTS_SHA256
+    code, out, _ = run(capsys, "invariants", "--file", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_INVARIANTS_TEXT_SHA256
 
 
 # SHA-256 of each sweep's `--max-n 7 --json` output; they pin every record
@@ -220,10 +237,26 @@ GOLDEN_SWEEPS_SHA256 = {
     ("check-theorem", "3.5"): "a556540d3f7b212d8df9ed732853b416989516446ab85dd7b4f26186ade7f694",
 }
 
+# SHA-256 of the same sweeps' text output, which adds the catalog names and
+# the notes each report prints.
+GOLDEN_SWEEPS_TEXT_SHA256 = {
+    ("verify-bound",): "86902380a7dcb84cccb81bd502c55f77017aa341f4296166f3cbfa6b5c584f73",
+    ("audit",): "fb876d82fe0155f0b317f0a7322bcf6d373de398d7fdebbfd8a37f95e1c3d99c",
+    ("check-theorem", "3.1"): "01f117121405bba4bfe52aaf3f9bb2a37d354bf6778f2ebdd131df170b052e6f",
+    ("check-theorem", "3.2"): "1c43f819b256836f5692e5f17f77ed93c9f4f2fb27a9791b67eb8cc6d92891b5",
+    ("check-theorem", "3.3"): "9e30263e30b7fbe40ad7dd818f505b0ed4a429f99b23718f299980595d7992ec",
+    ("check-theorem", "3.4"): "1b9c5ecddcd5028f7e338ad2f0581404d407b0f47e3e092f93dbeb62e561405e",
+    ("check-theorem", "3.5"): "3942abc0c252b1a2a9f69833f599842c28e9869638e2e94e3daeeea565e253ef",
+}
+
 
 def test_sweeps_golden_output(capsys):
     for command, digest in GOLDEN_SWEEPS_SHA256.items():
         code, out, _ = run(capsys, *command, "--max-n", "7", "--json")
+        assert code == 0, command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+    for command, digest in GOLDEN_SWEEPS_TEXT_SHA256.items():
+        code, out, _ = run(capsys, *command, "--max-n", "7")
         assert code == 0, command
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 

@@ -24,7 +24,7 @@ from kdom import (
     remove_matching,
     wheel,
 )
-from kdom.graphs import component
+from kdom.graphs import MAX_VERTICES, component
 
 
 def random_graph(n, rng, p=0.5):
@@ -108,6 +108,23 @@ def test_friendship():
         friendship(0)
 
 
+def test_families_match_their_definitions_up_to_the_cap():
+    # every size the cap allows, against edge lists written from the definitions
+    for n in range(4, MAX_VERTICES + 1):
+        rim = [(i, (i + 1) % (n - 1)) for i in range(n - 1)]
+        assert wheel(n) == Graph.from_edges(n, rim + [(i, n - 1) for i in range(n - 1)]), n
+    for n in range(1, (MAX_VERTICES - 1) // 2 + 1):
+        triangles = [e for i in range(n) for e in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))]
+        assert friendship(n) == Graph.from_edges(2 * n + 1, triangles), n
+    for m in range(MAX_VERTICES + 1):
+        for n in range(MAX_VERTICES + 1 - m):
+            cross = [(u, m + v) for u in range(m) for v in range(n)]
+            assert complete_bipartite(m, n) == Graph.from_edges(m + n, cross), (m, n)
+    for build, args in ((wheel, (63,)), (friendship, (31,)), (complete_bipartite, (40, 23))):
+        with pytest.raises(ValueError):
+            build(*args)
+
+
 def test_complement_involution():
     rng = random.Random(1)
     assert complement(complete(5)).edge_count() == 0
@@ -149,11 +166,38 @@ def test_remove_matching():
         remove_matching(path(3), [(0, 2)])
 
 
+def reference_greedy_matching(g, target):
+    """The first matching in lexicographic edge order, or None when it stops short."""
+    out = []
+    used = set()
+    for u, v in combinations(range(g.n), 2):
+        if len(out) < target and g.has_edge(u, v) and not {u, v} & used:
+            out.append((u, v))
+            used |= {u, v}
+    return out if len(out) == target else None
+
+
 def test_greedy_matching():
     assert greedy_matching(complete(6), "perfect") == [(0, 1), (2, 3), (4, 5)]
     assert greedy_matching(complete(5), 2) == [(0, 1), (2, 3)]
     with pytest.raises(ValueError):
         greedy_matching(complete(5), "perfect")
+    rng = random.Random(15)
+    for _ in range(300):
+        g = random_graph(rng.randint(0, 12), rng, rng.random())
+        for size in list(range(g.n // 2 + 2)) + ["perfect"]:
+            if size == "perfect" and g.n % 2:
+                with pytest.raises(ValueError, match="even vertex count"):
+                    greedy_matching(g, size)
+                continue
+            expected = reference_greedy_matching(g, g.n // 2 if size == "perfect" else size)
+            if expected is None:
+                with pytest.raises(ValueError, match="no greedy matching"):
+                    greedy_matching(g, size)
+            else:
+                assert greedy_matching(g, size) == expected, (g, size)
+        with pytest.raises(ValueError, match="nonnegative"):
+            greedy_matching(g, -1)
 
 
 def test_attach_pendant_paths():
