@@ -32,11 +32,9 @@ augmenting path is walked back from t_in, taking the lowest residual
 predecessor in the layer below and updating the flow on the way; an
 update touches only the arc between two later layers, so every
 predecessor picked afterwards still has its residual arc.  The
-Esfahanian-Hakimi flows run from each pair's lower vertex, as the scan's
-do, and the scan reuses them: it skips a pair whose flow already found
-more than kappa paths, and takes the cut of one that ended below its
-stop, a maximum flow from the same side.  Complete graphs are n-1 by
-convention, disconnected input is 0.
+Esfahanian-Hakimi flows only decide the value; the scan runs its own
+flow for each pair it visits.  Complete graphs are n-1 by convention,
+disconnected input is 0.
 """
 
 from collections import namedtuple
@@ -129,23 +127,16 @@ def vertex_connectivity(g):
     degs = [row.bit_count() for row in g.adj]
     kappa = min(degs)
     v = degs.index(kappa)
-    # each pair lower vertex first, as the scan below flows it
-    pairs = [(u, v) for u in range(v) if not g.has_edge(v, u)]
-    pairs += [(v, u) for u in range(v + 1, n) if not g.has_edge(v, u)]
-    pairs += [(x, y) for x, y in combinations(iter_bits(g.adj[v]), 2) if not g.has_edge(x, y)]
-    known = {}  # pair -> (a lower bound on its local connectivity, its cut or None)
+    pairs = [(v, u) for u in range(n) if u != v and not g.adj[v] >> u & 1]
+    pairs += [(x, y) for x, y in combinations(iter_bits(g.adj[v]), 2) if not g.adj[x] >> y & 1]
     for s, t in pairs:
         if kappa == 1:
             break  # g is connected, so kappa >= 1
-        value, _ = known[s, t] = _max_flow_vertex_cut(g.adj, s, t, kappa)
-        if value < kappa:
-            kappa = value
+        kappa = min(kappa, _max_flow_vertex_cut(g.adj, s, t, kappa)[0])
     for s, t in combinations(range(n), 2):
-        if g.has_edge(s, t):
+        if g.adj[s] >> t & 1:
             continue
-        value, cut = known.get((s, t), (0, None))
-        if cut is None and value <= kappa:
-            value, cut = _max_flow_vertex_cut(g.adj, s, t, kappa + 1)
+        value, cut = _max_flow_vertex_cut(g.adj, s, t, kappa + 1)
         if value == kappa:
             return CutResult(kappa, cut, (s, t))
     raise AssertionError("no pair attains the computed kappa")

@@ -70,15 +70,21 @@ class Graph:
             rows[v] |= 1 << u
         return cls(n, rows)
 
+    def _check_vertex(self, v):
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
+
     def neighbors(self, v):
+        self._check_vertex(v)
         return tuple(iter_bits(self.adj[v]))
 
     def degree(self, v):
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
+        self._check_vertex(v)
         return self.adj[v].bit_count()
 
     def has_edge(self, u, v):
+        self._check_vertex(u)
+        self._check_vertex(v)
         return bool((self.adj[u] >> v) & 1)
 
     def edges(self):
@@ -250,8 +256,7 @@ def attach_pendant_paths(g, specs):
 
 def component(g, v):
     """Bitmask of the vertices in the component of v."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+    g._check_vertex(v)
     seen = frontier = 1 << v
     while frontier:
         acc = 0
@@ -362,18 +367,3 @@ def parse_edge_list(text):
         edges.append((u, v))
     return Graph.from_edges(n, edges)
 
-
-def all_matchings(n):
-    """Every matching of K_n (as a tuple of edges), including the empty one."""
-
-    def rec(avail):
-        if not avail:
-            yield ()
-            return
-        u, rest = avail[0], avail[1:]
-        yield from rec(rest)
-        for i, v in enumerate(rest):
-            for m in rec(rest[:i] + rest[i + 1 :]):
-                yield ((u, v),) + m
-
-    yield from rec(tuple(range(n)))

@@ -123,6 +123,22 @@ def brute_force_cut(g):
     return kappa, (), None
 
 
+def all_matchings(n):
+    """Every matching of K_n (as a tuple of edges), including the empty one."""
+
+    def rec(avail):
+        if not avail:
+            yield ()
+            return
+        u, rest = avail[0], avail[1:]
+        yield from rec(rest)
+        for i, v in enumerate(rest):
+            for m in rec(rest[:i] + rest[i + 1 :]):
+                yield ((u, v),) + m
+
+    yield from rec(tuple(range(n)))
+
+
 def labeled_connected_canonical(n, canon):
     """Canonical strings of every connected labeled graph on n vertices.
 

@@ -24,11 +24,16 @@ from kdom.cli import main
 from kdom.connectivity import vertex_connectivity
 from kdom.domination import gamma3, gamma_k
 from kdom.enumeration import connected_graphs
-from kdom.graphs import all_matchings, attach_pendant_paths, graph6_encode
+from kdom.graphs import attach_pendant_paths, graph6_encode
 from kdom.isomorphism import canonical_graph6
 from kdom.verifier import characterize, check_theorem, verify_bound
 
-from oracles import brute_force_connectivity, labeled_connected_canonical, naive_min_dominating
+from oracles import (
+    all_matchings,
+    brute_force_connectivity,
+    labeled_connected_canonical,
+    naive_min_dominating,
+)
 
 G1 = Graph.from_edges(6, cycle(6).edges() + [(0, 3), (1, 4), (2, 5)])
 G2 = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (2, 5), (3, 5), (4, 5), (1, 4)])

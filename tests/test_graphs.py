@@ -64,6 +64,22 @@ def test_constructors_validate(on_sizes=(1, 2, 3, 5, 8)):
 # Families
 
 
+def test_vertex_queries_reject_out_of_range_vertices():
+    p3 = path(3)
+    for call in (
+        lambda: p3.neighbors(-1),
+        lambda: p3.neighbors(7),
+        lambda: p3.degree(3),
+        lambda: p3.has_edge(-1, 1),
+        lambda: p3.has_edge(0, 5),
+        lambda: p3.has_edge(0, -1),
+        lambda: p3.has_edge(3, 0),
+    ):
+        with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+            call()
+    assert p3.neighbors(1) == (0, 2) and p3.has_edge(2, 1) and not p3.has_edge(0, 2)
+
+
 def test_path():
     assert path(1).edges() == []
     p4 = path(4)
@@ -164,6 +180,9 @@ def test_remove_matching():
         remove_matching(complete(4), [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
         remove_matching(path(3), [(0, 2)])
+    for bad in ((0, 5), (-1, 1)):
+        with pytest.raises(ValueError, match="is not an edge"):
+            remove_matching(path(3), [bad])
 
 
 def reference_greedy_matching(g, target):

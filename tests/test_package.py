@@ -72,3 +72,38 @@ def test_sources_parse_under_python_310_grammar():
     for path in paths:
         with open(path, encoding="utf-8") as handle:
             ast.parse(handle.read(), filename=path, feature_version=(3, 10))
+
+
+def test_every_function_and_class_in_src_is_referenced():
+    """Unused API gets deleted: each function or class defined under
+    src/kdom (dunders aside) must be named by some Name or Attribute node
+    in src/kdom or tests.  Import aliases and the strings of __all__ are
+    not such nodes, so a re-export alone does not count as a use."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    package = os.path.dirname(os.path.abspath(kdom.__file__))
+    defined = {}
+    used = set()
+    for top in (package, tests):
+        for folder, _, files in os.walk(top):
+            for name in files:
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(folder, name)
+                with open(path, encoding="utf-8") as handle:
+                    tree = ast.parse(handle.read(), filename=path)
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Name):
+                        used.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        used.add(node.attr)
+                    elif top == package and isinstance(
+                        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                    ):
+                        defined.setdefault(node.name, os.path.relpath(path, package))
+    assert len(defined) > 50
+    unused = {
+        name: path
+        for name, path in defined.items()
+        if name not in used and not (name.startswith("__") and name.endswith("__"))
+    }
+    assert unused == {}

@@ -225,3 +225,25 @@ def test_audit_small_theorems():
     assert [s["matchings"] for s in rep["matching_sweeps"]] == [26, 76, 232, 764]
     assert all(s["failures"] == [] for s in rep["matching_sweeps"])
     assert len(rep["notes"]) == 1 and rep["notes"][0]["entry"] == "Example-2.4-S2"
+
+
+def test_audit_reports_a_matching_failure_once_per_size(monkeypatch, capsys):
+    for n in range(3, 7):
+        level_records(n)
+
+    def off_by_one_on_k6_minus_a_perfect_matching(g):
+        result = gamma3(g)
+        if g.n == 6 and g.edge_count() == 12:
+            return result._replace(number=result.number + 1)
+        return result
+
+    monkeypatch.setattr(kdom.verifier, "gamma3", off_by_one_on_k6_minus_a_perfect_matching)
+    sweeps = audit_small_theorems(6)["matching_sweeps"]
+    assert sweeps[1] == {
+        "n": 6,
+        "matchings": 76,
+        "failures": [{"matching": [[0, 1], [2, 3], [4, 5]], "gamma3": 5}],
+    }
+    assert [s["failures"] for s in sweeps if s["n"] != 6] == [[], [], []]
+    assert main(["audit", "--max-n", "6"]) == 0
+    assert "K6 minus matchings (76): 1 failures\n" in capsys.readouterr().out
