@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -5,6 +6,7 @@ import pytest
 
 from kdom import Graph, complete, complete_bipartite, cycle, disjoint_union, path, remove_matching, wheel
 from kdom.domination import DominationResult, gamma3, gamma_k, is_k_dominating, is_k_tuple_dominating
+from kdom.enumeration import connected_graphs
 
 from oracles import naive_min_dominating
 
@@ -180,3 +182,19 @@ def test_oracle_equivalence_random():
                     assert not res.feasible
                 else:
                     assert (res.number, res.witness) == expect, (g, k, variant)
+
+
+def test_search_golden_digest():
+    # one SHA-256 over every (number, witness, feasible) of levels 1..7 and
+    # a seeded sample of random graphs with 8..16 vertices, for the five
+    # (k, variant) pairs: a faster search must return every witness,
+    # ties included, exactly as before
+    rng = random.Random(17)
+    graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+    graphs += [random_graph(rng.randint(8, 16), rng, p=rng.random()) for _ in range(100)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        for k, variant in ((1, "k-domination"), (2, "k-domination"), (3, "k-domination"), (2, "k-tuple"), (3, "k-tuple")):
+            res = gamma_k(g, k, variant)
+            digest.update(repr((res.number, res.witness, res.feasible)).encode())
+    assert digest.hexdigest() == "3cc806f8b910adf8aff35f2edc6ef526f366a3a1fc269166253113b18eb0d1cb"
