@@ -3,8 +3,9 @@
 Subcommands: invariants, construct, enumerate, characterize,
 check-theorem, verify-bound, audit.  Output is UTF-8 text or JSON
 (--json); JSON is byte-deterministic for identical inputs.  Exit codes:
-0 success, 1 discrepancy findings under --strict-paper, 2 usage errors
-(bad input files, malformed graph6, guard violations).
+0 success, 1 discrepancy findings under --strict-paper or any non-empty
+failure list of audit, 2 usage errors (bad input files, malformed
+graph6, guard violations).
 """
 
 import argparse
@@ -202,8 +203,11 @@ def _cmd_audit(args):
         _emit(f"example graphs: gamma3(G1)={doc['example_g1_gamma3']} gamma3(G2)={doc['example_g2_gamma3']}\n")
         for nt in doc["notes"]:
             _emit(f"note {nt['entry']}: {nt['kind']}: {nt['detail']}\n")
-    # the Example 2.4 note is unconditional, so --strict-paper always exits 1
-    if args.strict_paper and doc["notes"]:
+    failed = any(doc[key] for key in doc if key.endswith("_failures"))
+    failed = failed or any(sweep["failures"] for sweep in doc["matching_sweeps"])
+    # a failed fact exits 1 with or without --strict-paper; the Example 2.4
+    # note is unconditional, so --strict-paper always exits 1
+    if failed or (args.strict_paper and doc["notes"]):
         return 1
     return 0
 

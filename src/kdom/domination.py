@@ -33,6 +33,16 @@ added vertex u lowers D by at most g: the number of deficient rows that
 hold u, plus u's own need in the k-domination variant.  Needs only shrink
 further down, so at least ceil(D / g) vertices remain to add.  On cycles
 and paths the bound is tight, which keeps C62 and P62 to seconds.
+
+A node never computes the largest g in full.  With s the incumbent's
+size, let room = s - |chosen| - 1, or s - |chosen| when chosen is below
+the incumbent's mask: the most vertices a completion may add and not be
+cut.  The cut is ceil(D / g) > room, so it holds whenever room <= 0, and
+otherwise iff g < ceil(D / room).  The scan of the free vertices
+therefore stops at the first drop that reaches ceil(D / room), and the
+node is cut iff none does: the decision the full scan gives, so the same
+tree.  The candidate order depends only on the degrees, so it is sorted
+once per search.
 """
 
 from collections import namedtuple
@@ -89,9 +99,9 @@ def _search(g, k, rows, exempt_members, forced):
     """(size, mask) of the numerically smallest minimum feasible set that
     contains forced, by the branch and bound the module docstring describes."""
     n = g.n
-    degs = [row.bit_count() for row in g.adj]
     full = (1 << n) - 1
     most = max(row.bit_count() for row in rows) + (k if exempt_members else 0)  # no drop exceeds it
+    order = [1 << u for u in sorted(range(n), key=lambda u: (-g.adj[u].bit_count(), u))]
     best, best_mask = n, full  # V is feasible for every solvable instance
 
     def dfs(chosen, banned, size, pending):
@@ -99,51 +109,56 @@ def _search(g, k, rows, exempt_members, forced):
         nonlocal best, best_mask
         if size > best or (size == best and chosen >= best_mask):
             return
-        pick = None
-        pick_opts = None
-        pick_width = None
-        deficient = 0
-        total = 0
+        free = full & ~(chosen | banned)
+        pick_opts, pick_width = 0, n + 1
+        deficient = total = 0
         if exempt_members:
             pending &= ~chosen
-        for v in iter_bits(pending):
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            v = low.bit_length() - 1
             need = k - (rows[v] & chosen).bit_count()
             if need <= 0:
                 continue
-            opts = rows[v] & ~chosen & ~banned
-            if exempt_members and not (banned >> v) & 1:
+            opts = rows[v] & free
+            if exempt_members and not banned & low:
                 # v can always discharge its own requirement by joining S
-                opts |= 1 << v
+                opts |= low
             elif opts.bit_count() < need:
                 return  # this vertex can no longer be satisfied
-            deficient |= 1 << v
+            deficient |= low
             total += need
             avail = opts.bit_count()
-            if pick_width is None or avail < pick_width:
-                pick, pick_opts, pick_width = v, opts, avail
-        if pick is None:
+            if avail < pick_width:
+                pick_opts, pick_width = opts, avail
+        if not deficient:
             best, best_mask = size, chosen
             return
-        # the counting bound: rows are symmetric, so rows[u] & deficient are
-        # the deficient rows holding u.  Every deficient vertex kept a free
-        # option above (the infeasibility check), so gain >= 1.
-        gain = 0
-        for u in iter_bits(full & ~(chosen | banned)):
-            drop = (rows[u] & deficient).bit_count()
-            if exempt_members and (deficient >> u) & 1:
-                drop += k - (rows[u] & chosen).bit_count()
-            if drop > gain:
-                gain = drop
-                if gain == most:
-                    break
-        lower = size - (-total // gain)
-        if lower > best or (lower == best and chosen >= best_mask):
+        # the counting bound's early stop (module docstring): cut iff no free
+        # vertex's drop reaches enough.  Rows are symmetric, so
+        # rows[u] & deficient are the deficient rows holding u
+        room = best - size - (chosen >= best_mask)
+        if room <= 0:
             return
-        cands = sorted(iter_bits(pick_opts), key=lambda u: (-degs[u], u))
-        banned2 = banned
-        for u in cands:
-            dfs(chosen | (1 << u), banned2, size + 1, deficient)
-            banned2 |= 1 << u
+        enough = -(-total // room)
+        if most < enough:
+            return
+        while free:
+            low = free & -free
+            free ^= low
+            u = low.bit_length() - 1
+            drop = (rows[u] & deficient).bit_count()
+            if exempt_members and deficient & low:
+                drop += k - (rows[u] & chosen).bit_count()
+            if drop >= enough:
+                break
+        else:
+            return
+        for bit in order:
+            if pick_opts & bit:
+                dfs(chosen | bit, banned, size + 1, deficient)
+                banned |= bit
 
     dfs(forced, 0, forced.bit_count(), full)
     return best, best_mask

@@ -15,12 +15,14 @@ If either half raises, the child is killed and reaped and the whole batch
 runs again serially, so an error is exactly the serial one: the same
 exception, raised by the first failing item.
 
-SPLIT_MIN is the measured break-even of a level's gamma3 and kappa (about
-0.035 ms a graph at n = 7): the fork round trip and the copy-on-write
-faults it causes cost about 1.5 ms, which 64 such items just repay.  A
+SPLIT_MIN is set near the break-even of a level's gamma3 and kappa, the
+cheapest batch that splits.  On a 2-core x86-64 VM with Python 3.11 they
+cost about 0.085 ms a graph at n = 7, and the fork round trip with the
+copy-on-write faults it causes about 3 ms, so the split first wins at
+about 100 such items; the 112 graphs of level 6 lose about 2 ms.  A
 level's parents and the graphs of `invariants` cost more each and gain
-from about 8 items; the audit's gamma (about 0.015 ms a graph) needs
-about 200, so its 112-graph level 6 loses about 0.7 ms.
+from about 8 items; the audit's gamma (about 0.03 ms a graph) needs
+about 200, so its level 6 loses about 2 ms too.
 """
 
 import marshal

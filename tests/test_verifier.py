@@ -245,5 +245,5 @@ def test_audit_reports_a_matching_failure_once_per_size(monkeypatch, capsys):
         "failures": [{"matching": [[0, 1], [2, 3], [4, 5]], "gamma3": 5}],
     }
     assert [s["failures"] for s in sweeps if s["n"] != 6] == [[], [], []]
-    assert main(["audit", "--max-n", "6"]) == 0
+    assert main(["audit", "--max-n", "6"]) == 1  # any failure list exits 1
     assert "K6 minus matchings (76): 1 failures\n" in capsys.readouterr().out
