@@ -36,13 +36,11 @@ and paths the bound is tight, which keeps C62 and P62 to seconds.
 
 A node never computes the largest g in full.  With s the incumbent's
 size, let room = s - |chosen| - 1, or s - |chosen| when chosen is below
-the incumbent's mask: the most vertices a completion may add and not be
-cut.  The cut is ceil(D / g) > room, so it holds whenever room <= 0, and
-otherwise iff g < ceil(D / room).  The scan of the free vertices
-therefore stops at the first drop that reaches ceil(D / room), and the
-node is cut iff none does: the decision the full scan gives, so the same
-tree.  The candidate order depends only on the degrees, so it is sorted
-once per search.
+its mask.  The cut, ceil(D / g) > room, holds whenever room <= 0 and
+otherwise iff g < ceil(D / room), so the scan of the free vertices stops
+at the first drop that reaches ceil(D / room) and cuts iff none does:
+the full scan's decision, so the same tree.  The candidate order depends
+only on the degrees, so it is sorted once per search.
 """
 
 from collections import namedtuple
@@ -135,8 +133,7 @@ def _search(g, k, rows, exempt_members, forced):
         if not deficient:
             best, best_mask = size, chosen
             return
-        # the counting bound's early stop (module docstring): cut iff no free
-        # vertex's drop reaches enough.  Rows are symmetric, so
+        # the bound's early stop (module docstring); rows are symmetric, so
         # rows[u] & deficient are the deficient rows holding u
         room = best - size - (chosen >= best_mask)
         if room <= 0:

@@ -16,13 +16,12 @@ runs again serially, so an error is exactly the serial one: the same
 exception, raised by the first failing item.
 
 SPLIT_MIN is set near the break-even of a level's gamma3 and kappa, the
-cheapest batch that splits.  On a 2-core x86-64 VM with Python 3.11 they
-cost about 0.085 ms a graph at n = 7, and the fork round trip with the
-copy-on-write faults it causes about 3 ms, so the split first wins at
-about 100 such items; the 112 graphs of level 6 lose about 2 ms.  A
-level's parents and the graphs of `invariants` cost more each and gain
-from about 8 items; the audit's gamma (about 0.03 ms a graph) needs
-about 200, so its level 6 loses about 2 ms too.
+cheapest batch that splits: on a 2-core x86-64 VM with Python 3.11 they
+cost about 0.085 ms a graph at n = 7 and the fork round trip about 3 ms,
+so the split first wins at 100 to 128 such items; level 6's 112 cheaper
+graphs lose 2 ms.  A level's parents and the graphs of `invariants`
+gain from about 8 items; the audit's gamma (about 0.03 ms a graph) needs
+about 200.
 """
 
 import marshal
