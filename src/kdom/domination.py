@@ -9,6 +9,12 @@ variant is always an explicit parameter:
 - "k-tuple": every vertex of V has at least k of its closed neighborhood
   N[v] in S (double domination is k=2).  Infeasible when some |N[v]| < k.
 
+Both are one requirement: S holds k members of rows[v] for every v, with
+open rows and the members of S exempt in k-domination, closed rows in
+k-tuple.  A vertex of degree < k lies in every feasible set: in
+k-domination it cannot be dominated from outside S, and in a feasible
+k-tuple instance it has |N[v]| = k, so N[v] lies in S.
+
 One branch and bound finds the minimum size and the witness, the smallest
 minimum set by bitmask value, so results are reproducible.  A node holds
 the chosen and the banned vertices.  It branches on a most-constrained
@@ -58,48 +64,40 @@ class DominationResult(
     __slots__ = ()
 
 
-def _check_variant(variant):
+def _requirement(g, variant, k):
+    """(rows, exempt) of the variant's requirement (module docstring); validates variant, then k."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if variant == "k-domination":
+        return list(g.adj), True
+    return [row | (1 << v) for v, row in enumerate(g.adj)], False
+
+
+def _dominates(g, s, k, variant):
+    rows, exempt = _requirement(g, variant, k)
+    mask = as_mask(g.n, s)
+    return all((row & mask).bit_count() >= k or (exempt and (mask >> v) & 1) for v, row in enumerate(rows))
 
 
 def is_k_dominating(g, s, k):
     """True iff every vertex outside s has at least k neighbors inside s."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    mask = as_mask(g.n, s)
-    for v in range(g.n):
-        if not (mask >> v) & 1 and (g.adj[v] & mask).bit_count() < k:
-            return False
-    return True
+    return _dominates(g, s, k, "k-domination")
 
 
 def is_k_tuple_dominating(g, s, k):
     """True iff every vertex v has |N[v] & s| >= k (closed neighborhoods)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    mask = as_mask(g.n, s)
-    for v in range(g.n):
-        if ((g.adj[v] | (1 << v)) & mask).bit_count() < k:
-            return False
-    return True
+    return _dominates(g, s, k, "k-tuple")
 
 
-def _requirement_rows(g, variant):
-    """Per-vertex rows whose intersection with S must reach k: open
-    neighborhoods for k-domination, closed ones for k-tuple."""
-    if variant == "k-domination":
-        return list(g.adj)
-    return [row | (1 << v) for v, row in enumerate(g.adj)]
-
-
-def _search(g, k, rows, exempt_members, forced):
+def _search(rows, k, exempt, forced):
     """(size, mask) of the numerically smallest minimum feasible set that
     contains forced, by the branch and bound the module docstring describes."""
-    n = g.n
+    n = len(rows)
     full = (1 << n) - 1
-    most = max(row.bit_count() for row in rows) + (k if exempt_members else 0)  # no drop exceeds it
-    order = [1 << u for u in sorted(range(n), key=lambda u: (-g.adj[u].bit_count(), u))]
+    most = max(row.bit_count() for row in rows) + (k if exempt else 0)  # no drop exceeds it
+    order = [1 << u for u in sorted(range(n), key=lambda u: (-rows[u].bit_count(), u))]
     best, best_mask = n, full  # V is feasible for every solvable instance
 
     def dfs(chosen, banned, size, pending):
@@ -110,7 +108,7 @@ def _search(g, k, rows, exempt_members, forced):
         free = full & ~(chosen | banned)
         pick_opts, pick_width = 0, n + 1
         deficient = total = 0
-        if exempt_members:
+        if exempt:
             pending &= ~chosen
         while pending:
             low = pending & -pending
@@ -120,7 +118,7 @@ def _search(g, k, rows, exempt_members, forced):
             if need <= 0:
                 continue
             opts = rows[v] & free
-            if exempt_members and not banned & low:
+            if exempt and not banned & low:
                 # v can always discharge its own requirement by joining S
                 opts |= low
             elif opts.bit_count() < need:
@@ -146,7 +144,7 @@ def _search(g, k, rows, exempt_members, forced):
             free ^= low
             u = low.bit_length() - 1
             drop = (rows[u] & deficient).bit_count()
-            if exempt_members and deficient & low:
+            if exempt and deficient & low:
                 drop += k - (rows[u] & chosen).bit_count()
             if drop >= enough:
                 break
@@ -163,18 +161,13 @@ def _search(g, k, rows, exempt_members, forced):
 
 def gamma_k(g, k, variant):
     """Exact minimum k-dominating (or k-tuple dominating) set of g."""
-    _check_variant(variant)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    rows, exempt = _requirement(g, variant, k)
     if g.n == 0:
         raise ValueError("gamma_k of the empty graph is undefined")
-    rows = _requirement_rows(g, variant)
-    exempt = variant == "k-domination"
     if not exempt and any(row.bit_count() < k for row in rows):
         return DominationResult(None, None, variant, k, feasible=False)
-    # in k-domination a vertex of degree < k can never be dominated from outside
-    forced = mask_of(v for v, row in enumerate(g.adj) if exempt and row.bit_count() < k)
-    size, mask = _search(g, k, rows, exempt, forced)
+    forced = mask_of(v for v, row in enumerate(g.adj) if row.bit_count() < k)
+    size, mask = _search(rows, k, exempt, forced)
     return DominationResult(size, tuple(iter_bits(mask)), variant, k)
 
 

@@ -16,10 +16,12 @@ Functions nest at most MAX_NESTING deep.
 
 The recursive-descent parser calls the kdom.graphs constructors as it
 reads, so every parse step returns a Graph and no expression tree is kept.
-Syntax errors raise FamilyParseError with the byte offset of the offending
-token; a constructor's own ValueError (C2, a matching that does not fit, a
-union above the vertex cap) passes through unchanged.  With two faults in
-one input, the first one read is reported.
+Tokens are ASCII, so "K²" is a syntax error.  Syntax errors raise
+FamilyParseError with the offset of the offending token, an index into
+the text (the byte offset for ASCII text); a constructor's own ValueError
+(C2, a matching that does not fit, a union above the vertex cap) passes
+through unchanged.  With two faults in one input, the first one read is
+reported.
 """
 
 from . import graphs as _g
@@ -37,7 +39,7 @@ MAX_INT_DIGITS = 100  # keeps int() off Python's 4300-digit conversion limit
 
 
 class FamilyParseError(ValueError):
-    """Syntax or arity error, with the byte offset where it happened."""
+    """Syntax or arity error, with the offset (an index into the text) where it happened."""
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (at offset {offset})")
@@ -62,15 +64,15 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isalpha():
+        if ch.isascii() and ch.isalpha():
             j = i
-            while j < len(text) and (text[j].isalpha() or text[j] == "_"):
+            while j < len(text) and text[j].isascii() and (text[j].isalpha() or text[j] == "_"):
                 j += 1
             tokens.append(("name", text[i:j], i))
             i = j
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":  # str.isdigit also admits "²" and "٣"
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             if j - i > MAX_INT_DIGITS:
                 raise FamilyParseError(f"integer of {j - i} digits, above the limit {MAX_INT_DIGITS}", i)

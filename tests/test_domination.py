@@ -52,6 +52,10 @@ def test_checker_input_validation():
         is_k_dominating(path(3), {3}, 1)
     with pytest.raises(ValueError):
         is_k_dominating(path(3), {0}, 0)
+    with pytest.raises(ValueError):
+        is_k_tuple_dominating(path(3), {3}, 1)
+    with pytest.raises(ValueError):
+        is_k_tuple_dominating(path(3), {0}, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +105,14 @@ def test_cycles_and_paths_closed_forms():
         res = gamma_k(cycle(n), 2, "k-tuple")
         assert res.number == -(-2 * n // 3), n
         assert is_k_tuple_dominating(cycle(n), res.witness, 2)
+        # every vertex has degree < 3, so the forced rule takes all of C_n
+        assert gamma_k(cycle(n), 3, "k-tuple") == DominationResult(n, tuple(range(n)), "k-tuple", 3)
+    # double domination of P_n is 2*ceil(n/3), plus one when 3 divides n;
+    # both ends are forced
+    for n in [*range(2, 31), 40]:
+        res = gamma_k(path(n), 2, "k-tuple")
+        assert res.number == 2 * -(-n // 3) + (n % 3 == 0), n
+        assert is_k_tuple_dominating(path(n), res.witness, 2)
 
 
 def test_small_graphs_take_whole_vertex_set():
@@ -121,6 +133,11 @@ def test_variant_is_mandatory_and_validated():
         gamma_k(path(3), 1)
     with pytest.raises(ValueError):
         gamma_k(Graph(0, ()), 1, "k-domination")
+    # the variant is checked first, then k, then the graph
+    with pytest.raises(ValueError, match="unknown variant 'domination'"):
+        gamma_k(Graph(0, ()), 0, "domination")
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        gamma_k(Graph(0, ()), 0, "k-tuple")
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,12 @@ def test_parse_errors_carry_offsets():
         build_family("P" + "9" * 5000)
     assert err.value.offset == 1
     assert build_family("P0000000062") == build_family("P62")
+    # only ASCII digits and letters make tokens: str.isdigit admits "²" and
+    # "①", which int() refuses, and "٣", which int() reads as 3
+    for text, offset in (("K²", 1), ("C①", 1), ("K٣", 1), ("K{2,٣}", 4)):
+        with pytest.raises(FamilyParseError, match="unexpected character") as err:
+            build_family(text)
+        assert err.value.offset == offset, text
 
 
 def test_evaluation_errors():
