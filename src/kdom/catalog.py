@@ -4,11 +4,12 @@ Every graph a theorem statement, proof, or figure names is transcribed as
 a machine-checkable entry: family recipes go through the DSL, figure
 graphs are explicit edge lists keyed to their figure id (read from the
 drawing coordinates, since several overline labels disagree with what is
-drawn).  checked_catalog() builds the table once per process: each entry
-is frozen with its graph, canonical graph6, gamma3 and kappa, and
-gamma3+kappa is compared against the theorem's 2n-offset target.  Static
-transcription notes record label mismatches, proof-only members, and
-figure duplicates, and a fails-target note is attached to every entry that
+drawn).  theorem_catalog(theorem) builds one theorem's entries once per
+process: each entry is frozen with its graph, canonical graph6, gamma3
+and kappa, and gamma3+kappa is compared against the theorem's 2n-offset
+target; checked_catalog() joins the five theorems.  Static transcription
+notes record label mismatches, proof-only members, and figure
+duplicates, and a fails-target note is attached to every entry that
 misses its target.  Nothing is silently corrected.
 """
 
@@ -154,17 +155,19 @@ _STATIC_NOTES = [
 
 
 @lru_cache(maxsize=None)
-def checked_catalog():
-    """(entries, notes): every catalog entry with its invariants, and all notes sorted."""
+def theorem_catalog(theorem):
+    """(entries, notes) of one theorem: its entries with their invariants, and its notes sorted."""
     entries = []
-    notes = list(_STATIC_NOTES)
-    for name, theorem, source, recipe in _ENTRIES:
+    notes = [nt for nt in _STATIC_NOTES if nt.theorem == theorem]
+    offset = THEOREM_OFFSETS[theorem]
+    for name, entry_theorem, source, recipe in _ENTRIES:
+        if entry_theorem != theorem:
+            continue
         g = build_family(recipe) if isinstance(recipe, str) else Graph.from_edges(*recipe)
         if not is_connected(g):
             raise AssertionError(f"catalog entry {name} built a disconnected graph")
         g3, kappa = gamma3(g).number, vertex_connectivity(g).kappa
         entries.append(CatalogEntry(name, theorem, source, g, canonical_graph6(g), g3, kappa))
-        offset = THEOREM_OFFSETS[theorem]
         target = 2 * g.n - offset
         if g3 + kappa != target:
             notes.append(
@@ -176,12 +179,14 @@ def checked_catalog():
                     f"but 2n-{offset} = {target} at n={g.n}",
                 )
             )
-    notes.sort(key=lambda nt: (nt.theorem, nt.entry, nt.kind, nt.detail))
+    notes.sort(key=lambda nt: (nt.entry, nt.kind, nt.detail))
     return tuple(entries), tuple(notes)
 
 
-def notes_for(notes, theorem):
-    return [nt for nt in notes if nt.theorem == theorem]
+def checked_catalog():
+    """(entries, notes) of every theorem: the entries in table order, the notes sorted."""
+    parts = [theorem_catalog(theorem) for theorem in THEOREM_OFFSETS]  # _ENTRIES lists them in this order
+    return tuple(e for entries, _ in parts for e in entries), tuple(nt for _, notes in parts for nt in notes)
 
 
 def canonical_names():

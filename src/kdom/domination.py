@@ -40,13 +40,30 @@ hold u, plus u's own need in the k-domination variant.  Needs only shrink
 further down, so at least ceil(D / g) vertices remain to add.  On cycles
 and paths the bound is tight, which keeps C62 and P62 to seconds.
 
-A node never computes the largest g in full.  With s the incumbent's
-size, let room = s - |chosen| - 1, or s - |chosen| when chosen is below
-its mask.  The cut, ceil(D / g) > room, holds whenever room <= 0 and
-otherwise iff g < ceil(D / room), so the scan of the free vertices stops
-at the first drop that reaches ceil(D / room) and cuts iff none does:
-the full scan's decision, so the same tree.  The candidate order depends
-only on the degrees, so it is sorted once per search.
+Each node first takes its room: with s the incumbent's size, room =
+s - |chosen| - 1, or s - |chosen| when chosen is below its mask.  A
+completion that adds more than room vertices is larger than the
+incumbent, or the same size with a mask no lower, so a node with
+room < 0 is cut at once.
+
+A node with room <= 1 settles its subtree in closed form, with no branch
+and no bound.  Only chosen itself and chosen + u, for one free vertex u,
+can improve the incumbent: a completion with two or more vertices is
+larger than it, or the same size with a mask above chosen >= its mask.
+chosen + u is feasible iff u serves every deficient vertex v.  With
+need(v) = 1 that is u in rows[v], or u = v in k-domination; with
+need(v) >= 2 only u = v serves, in k-domination, and nothing in k-tuple.
+The node intersects the free vertices with these sets and returns when
+the intersection empties (at the first deficient vertex when room = 0,
+where only chosen itself can improve).  Of what is left, the lowest
+vertex u gives the lowest mask chosen + u; it replaces the incumbent
+when smaller, or the same size with a lower mask.
+
+A node with room >= 2 never computes the largest g in full.  The cut,
+ceil(D / g) > room, holds iff g < ceil(D / room), so the scan of the free
+vertices stops at the first drop that reaches ceil(D / room) and cuts
+iff none does: the full scan's decision, so the same tree.  The candidate
+order depends only on the degrees, so it is sorted once per search.
 """
 
 from collections import namedtuple
@@ -103,9 +120,11 @@ def _search(rows, k, exempt, forced):
     def dfs(chosen, banned, size, pending):
         # pending: the parent's deficient vertices; needs only shrink below it
         nonlocal best, best_mask
-        if size > best or (size == best and chosen >= best_mask):
+        room = best - size - (chosen >= best_mask)
+        if room < 0:
             return
         free = full & ~(chosen | banned)
+        serve = free if room else 0  # room <= 1: the vertices u with chosen + u feasible so far
         pick_opts, pick_width = 0, n + 1
         deficient = total = 0
         if exempt:
@@ -117,13 +136,18 @@ def _search(rows, k, exempt, forced):
             need = k - (rows[v] & chosen).bit_count()
             if need <= 0:
                 continue
+            deficient |= low
+            if room <= 1:
+                serve &= (rows[v] if need == 1 else 0) | (low if exempt else 0)
+                if not serve:
+                    return
+                continue
             opts = rows[v] & free
             if exempt and not banned & low:
                 # v can always discharge its own requirement by joining S
                 opts |= low
             elif opts.bit_count() < need:
                 return  # this vertex can no longer be satisfied
-            deficient |= low
             total += need
             avail = opts.bit_count()
             if avail < pick_width:
@@ -131,11 +155,14 @@ def _search(rows, k, exempt, forced):
         if not deficient:
             best, best_mask = size, chosen
             return
+        if room <= 1:
+            # the closed form (module docstring): the lowest vertex that serves all
+            u = serve & -serve
+            if size + 1 < best or chosen | u < best_mask:
+                best, best_mask = size + 1, chosen | u
+            return
         # the bound's early stop (module docstring); rows are symmetric, so
         # rows[u] & deficient are the deficient rows holding u
-        room = best - size - (chosen >= best_mask)
-        if room <= 0:
-            return
         enough = -(-total // room)
         if most < enough:
             return

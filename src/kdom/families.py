@@ -52,6 +52,11 @@ def _check_cap(label, count, offset):
         raise FamilyParseError(f"{label} has {count} vertices, above the cap {_g.MAX_VERTICES}", offset)
 
 
+def _found(kind, value):
+    """A token as an error message names it."""
+    return "end of input" if kind == "end" else repr(value)
+
+
 # ---------------------------------------------------------------------------
 # Tokenizer
 
@@ -103,13 +108,13 @@ class _Parser:
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise FamilyParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            raise FamilyParseError(f"expected {kind!r}, found {_found(tok[0], tok[1])}", tok[2])
         return tok
 
     def parse_expr(self, depth=0):
         kind, value, offset = self.peek()
         if kind != "name":
-            raise FamilyParseError(f"expected a family or function name, found {value!r}", offset)
+            raise FamilyParseError(f"expected a family or function name, found {_found(kind, value)}", offset)
         if value in FUNCTIONS:
             if depth == MAX_NESTING:
                 raise FamilyParseError(f"functions nested deeper than {MAX_NESTING}", offset)
@@ -132,7 +137,7 @@ class _Parser:
         if name == "minus_matching":
             kind, size, offset = self.next()
             if kind != "int" and (kind, size) != ("name", "perfect"):
-                raise FamilyParseError(f"expected a matching size or 'perfect', found {size!r}", offset)
+                raise FamilyParseError(f"expected a matching size or 'perfect', found {_found(kind, size)}", offset)
             self.expect(")")
             return _g.remove_matching(g, _g.greedy_matching(g, size))
         h = self.parse_expr(depth)
@@ -182,7 +187,7 @@ class _Parser:
         else:
             mult = 1
         if kind != "name" or value != "P":
-            raise FamilyParseError(f"expected a slot like 0, P3 or 2P3, found {value!r}", offset)
+            raise FamilyParseError(f"expected a slot like 0, P3 or 2P3, found {_found(kind, value)}", offset)
         length = self.expect("int")[1]
         return (mult, length)
 

@@ -16,19 +16,20 @@ runs again serially, so an error is exactly the serial one: the same
 exception, raised by the first failing item.
 
 SPLIT_MIN is set near the break-even of a level's gamma3 and kappa, the
-cheapest batch that splits: on a 2-core x86-64 VM with Python 3.11 they
-cost about 0.085 ms a graph at n = 7 and the fork round trip about 3 ms,
-so the split first wins at 100 to 128 such items; level 6's 112 cheaper
-graphs lose 2 ms.  A level's parents and the graphs of `invariants`
-gain from about 8 items; the audit's gamma (about 0.03 ms a graph) needs
-about 200.
+cheapest batch that splits: on a 2-core x86-64 VM with Python 3.11 (best
+of 31 runs) they cost about 0.07 to 0.08 ms a graph at n = 7 and the fork
+round trip about 2.7 ms, so the split first wins at 128 to 160 such
+items, and level 6's 112 graphs stay serial, where a split would lose
+about 0.5 ms.  A level's parents (156 at n = 7) and the graphs of
+`invariants` gain from about 8 items; the audit's gamma (about 0.025 ms
+a graph) needs about 320.
 """
 
 import marshal
 import os
 import sys
 
-SPLIT_MIN = 64
+SPLIT_MIN = 128
 _SIGKILL = 9  # POSIX, where os.fork exists
 
 

@@ -31,7 +31,7 @@ exhaustive as the independent checks.
 from collections import namedtuple
 from functools import lru_cache
 
-from .catalog import DiscrepancyNote, THEOREM_OFFSETS, checked_catalog, notes_for
+from .catalog import DiscrepancyNote, THEOREM_OFFSETS, theorem_catalog
 from .connectivity import vertex_connectivity
 from .domination import gamma3, gamma_k, is_k_dominating
 from .enumeration import MAX_CEILING, check_guard, connected_graphs
@@ -128,8 +128,7 @@ def check_theorem(theorem, n_max=DEFAULT_N_MAX):
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {sorted(THEOREM_OFFSETS)}")
     offset = THEOREM_OFFSETS[theorem]
     levels = characterize(offset, n_max)["levels"]
-    entries, all_notes = checked_catalog()
-    mine = [e for e in entries if e.theorem == theorem]
+    mine, notes = theorem_catalog(theorem)
     computed_set = {r["g6"] for level in levels for r in level["extremal"]}
 
     confirmed = []
@@ -156,7 +155,7 @@ def check_theorem(theorem, n_max=DEFAULT_N_MAX):
         "confirmed": confirmed,
         "extra": extra,
         "missing": sorted(computed_set - matched_canon),
-        "notes": [nt.to_jsonable() for nt in notes_for(all_notes, theorem)],
+        "notes": [nt.to_jsonable() for nt in notes],
         "caveats": caveats,
     }
 

@@ -6,7 +6,7 @@ from kdom.catalog import (
     THEOREM_OFFSETS,
     canonical_names,
     checked_catalog,
-    notes_for,
+    theorem_catalog,
 )
 from kdom.isomorphism import canonical_graph6
 from kdom.verifier import check_theorem, level_records
@@ -21,7 +21,7 @@ def find(entries, theorem, name):
 
 
 def failing_names(notes, theorem):
-    return {nt.entry for nt in notes_for(notes, theorem) if nt.kind == "fails-target"}
+    return {nt.entry for nt in notes if nt.theorem == theorem and nt.kind == "fails-target"}
 
 
 def test_every_entry_is_connected():
@@ -68,7 +68,7 @@ def test_proof_only_entries_are_flagged():
     entries, notes = checked_catalog()
     proof_names = {e.name for e in entries if e.source == "proof"}
     assert proof_names == {"C7", "C3(P3,0,0)"}
-    flagged = {nt.entry for nt in notes_for(notes, "3.5") if nt.kind == "missing-from-statement"}
+    flagged = {nt.entry for nt in notes if nt.theorem == "3.5" and nt.kind == "missing-from-statement"}
     assert flagged == proof_names
 
 
@@ -134,7 +134,9 @@ def test_one_build_canonicalizes_each_entry_once(monkeypatch):
     for key, module in list(sys.modules.items()):
         if key.startswith("kdom") and getattr(module, "canonical_graph6", None) is canonical_graph6:
             monkeypatch.setattr(module, "canonical_graph6", counted)
-    checked_catalog.cache_clear()
+    theorem_catalog.cache_clear()
+    check_theorem("3.1", 6)
+    assert len(calls) == 1  # one theorem's report builds only that theorem's entries
     checked_catalog()
     check_theorem("3.5", 6)
     canonical_names()

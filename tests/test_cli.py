@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 from kdom import Graph, complete, complete_bipartite, cycle, graph6_encode, remove_matching, wheel
-from kdom.catalog import checked_catalog
+from kdom.catalog import theorem_catalog
 from kdom.cli import main
 from kdom.isomorphism import canonical_graph6
 from kdom.verifier import audit_small_theorems, characterize, check_theorem, verify_bound
@@ -123,10 +123,10 @@ def test_verify_bound_text(capsys):
 
 def test_verify_bound_json_leaves_the_catalog_unbuilt(capsys):
     # the catalog names serve only the text line and --strict-paper
-    checked_catalog.cache_clear()
+    theorem_catalog.cache_clear()
     code, out, _ = run(capsys, "verify-bound", "--max-n", "4", "--json")
     assert code == 0 and json.loads(out)["violations"] == []
-    assert checked_catalog.cache_info().currsize == 0
+    assert theorem_catalog.cache_info().currsize == 0
 
 
 def test_check_theorem_exit_codes(capsys):

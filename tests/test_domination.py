@@ -4,8 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from kdom import Graph, complete, complete_bipartite, cycle, disjoint_union, path, remove_matching, wheel
-from kdom.domination import DominationResult, gamma3, gamma_k, is_k_dominating, is_k_tuple_dominating
+from kdom import Graph, complete, complete_bipartite, cycle, disjoint_union, friendship, path, remove_matching, wheel
+from kdom.domination import VARIANTS, DominationResult, gamma3, gamma_k, is_k_dominating, is_k_tuple_dominating
 from kdom.enumeration import connected_graphs
 
 from oracles import naive_min_dominating
@@ -190,15 +190,24 @@ def tied_graphs():
 def test_oracle_equivalence_random():
     rng = random.Random(23)
     graphs = [random_graph(rng.randint(1, 12), rng, p=rng.random()) for _ in range(50)]
-    for g in graphs + list(tied_graphs()):
-        for k in (1, 2, 3):
-            for variant in ("k-domination", "k-tuple"):
-                res = gamma_k(g, k, variant)
-                expect = naive_min_dominating(g, k, variant)
-                if expect is None:
-                    assert not res.feasible
-                else:
-                    assert (res.number, res.witness) == expect, (g, k, variant)
+    cases = [(g, k) for g in graphs + list(tied_graphs()) for k in (1, 2, 3)]
+    # a node with room for one more vertex takes the lowest vertex that serves
+    # every deficient vertex (module docstring); stars, friendship graphs and
+    # wheels reach each of its cases: a vertex one short served by its row,
+    # one short by two or more served only by itself (k-domination) or by
+    # nothing (k-tuple), and a one-vertex completion that only ties the
+    # incumbent with a higher mask
+    closed_form = [complete_bipartite(1, m) for m in range(1, 10)]
+    closed_form += [friendship(m) for m in range(1, 6)] + [wheel(n) for n in range(4, 12)]
+    cases += [(g, k) for g in closed_form for k in (1, 2, 3, 4)]
+    for g, k in cases:
+        for variant in VARIANTS:
+            res = gamma_k(g, k, variant)
+            expect = naive_min_dominating(g, k, variant)
+            if expect is None:
+                assert not res.feasible
+            else:
+                assert (res.number, res.witness) == expect, (g, k, variant)
 
 
 def test_search_golden_digest():

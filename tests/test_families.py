@@ -76,6 +76,12 @@ def test_parse_errors_carry_offsets():
         build_family("P{2,3}")
     with pytest.raises(FamilyParseError):
         build_family("K3 K4")
+    # input that stops early names the end of input, at the text's length
+    for text in ("C4(", "K{2,", "complement(", "C4(P2,P3,P4,P5", "", "minus_matching(K5,", "C3(2"):
+        with pytest.raises(FamilyParseError, match="found end of input") as err:
+            build_family(text)
+        assert err.value.offset == len(text)
+        assert "None" not in str(err.value)
     # a digit run too long for int() is refused at its offset, naming its length
     with pytest.raises(FamilyParseError, match="integer of 5000 digits") as err:
         build_family("P" + "9" * 5000)
