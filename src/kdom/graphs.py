@@ -350,20 +350,26 @@ def graph6_decode(text):
 # Edge-list text format: first line "n", then one "u v" pair per line
 
 
+def _decimal(word):
+    """The value of an ASCII decimal numeral; int() also takes signs, "_" and other scripts' digits."""
+    if not word or word.strip("0123456789"):
+        raise ValueError(word)
+    return int(word)
+
+
 def parse_edge_list(text):
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty edge-list input")
     try:
-        n = int(lines[0])
+        n = _decimal(lines[0])
     except ValueError:
         raise ValueError(f"first edge-list line must be the vertex count, got {lines[0]!r}") from None
     edges = []
     for ln in lines[1:]:
         try:
-            u, v = map(int, ln.split())
+            u, v = map(_decimal, ln.split())
         except ValueError:
             raise ValueError(f"bad edge-list line {ln!r}") from None
         edges.append((u, v))
     return Graph.from_edges(n, edges)
-

@@ -3,26 +3,36 @@
 split_map(fn, items) returns [fn(x) for x in items].  A batch of at least
 SPLIT_MIN items is split by one fork where os.fork exists, the process
 may run on two or more CPUs and it runs one thread (a forked copy of a
-threaded process can wait forever on a lock another thread held).  The
-child computes the odd-indexed items, writes their results to a pipe as
-marshal bytes and leaves by os._exit; the parent computes the
-even-indexed items, reads the pipe, reaps the child and interleaves the
-two halves.  So fn's results must be marshal-able (ints, strings, None,
-and tuples, lists and dicts of them), and whatever else fn does in the
-child (counters, caches) is lost with it.
+threaded process can wait forever on a lock another thread held).
 
-If either half raises, the child is killed and reaped and the whole batch
-runs again serially, so an error is exactly the serial one: the same
-exception, raised by the first failing item.
+The two processes schedule themselves (Kruskal and Weiss 1985): before
+the fork the parent cuts the batch into at most 256 chunks of
+ceil(len(items) / 256) consecutive items and writes one byte per chunk,
+its index, into a ticket pipe, whose write end it then closes.  256
+bytes are below the 512-byte pipe buffer POSIX guarantees, so that write
+never blocks.  After the fork each process reads one ticket at a time,
+computes that chunk, and stops at end of file; a one-byte read is
+atomic, so each chunk is computed by exactly one process, and whichever
+process is free takes the next one.  The child writes {chunk: results}
+to a result pipe as marshal bytes and leaves by os._exit; the parent
+reads the pipe, reaps the child and puts the chunks back in order.  So
+fn's results must be marshal-able (ints, strings, None, and tuples,
+lists and dicts of them), and whatever else fn does in the child
+(counters, caches) is lost with it.
+
+If either process raises, the child is killed and reaped and the whole
+batch runs again serially, so an error is exactly the serial one: the
+same exception, raised by the first failing item.
 
 SPLIT_MIN is set near the break-even of a level's gamma3 and kappa, the
-cheapest batch that splits: on a 2-core x86-64 VM with Python 3.11 (best
-of 31 runs) they cost about 0.07 to 0.08 ms a graph at n = 7 and the fork
-round trip about 2.7 ms, so the split first wins at 128 to 160 such
-items, and level 6's 112 graphs stay serial, where a split would lose
-about 0.5 ms.  A level's parents (156 at n = 7) and the graphs of
-`invariants` gain from about 8 items; the audit's gamma (about 0.025 ms
-a graph) needs about 320.
+cheapest batch that splits.  On a 2-core x86-64 VM with Python 3.11
+(medians of 101 alternating serial and split runs, items spread over
+level 7) they cost about 0.085 to 0.09 ms a graph and the fork round
+trip about 2.6 ms; the split loses about 0.3 ms at 96 items, first wins
+at 128 (by about 0.7 ms, in 70 of 101 pairs) and wins in 94 of 101 at
+160, so level 6's 112 graphs stay serial.  A level's parents (about
+3 ms each at n = 8) and the graphs of `invariants` gain from a handful
+of items; the audit's gamma (about 0.03 ms a graph) needs about 350.
 """
 
 import marshal
@@ -30,6 +40,7 @@ import os
 import sys
 
 SPLIT_MIN = 128
+_TICKETS = 256  # one byte each, below POSIX's 512-byte minimum pipe buffer
 _SIGKILL = 9  # POSIX, where os.fork exists
 
 
@@ -42,7 +53,7 @@ def _cpus():
 
 
 def split_map(fn, items):
-    """[fn(x) for x in items], with the odd-indexed items computed in a forked child."""
+    """[fn(x) for x in items], with the chunks shared by this process and a forked child."""
     items = list(items)
     threading = sys.modules.get("threading")  # never imported: one thread
     if (
@@ -52,13 +63,27 @@ def split_map(fn, items):
         or threading is not None and threading.active_count() > 1
     ):
         return [fn(x) for x in items]
+    size = -(-len(items) // _TICKETS)
+    chunks = -(-len(items) // size)
+    tickets, write = os.pipe()
+    os.write(write, bytes(range(chunks)))  # at most 256 bytes: never blocks
+    os.close(write)
+
+    def drain():
+        """{chunk: its results} for each ticket this process draws."""
+        done = {}
+        while ticket := os.read(tickets, 1):
+            start = ticket[0] * size
+            done[ticket[0]] = [fn(x) for x in items[start : start + size]]
+        return done
+
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
             os.close(read)
-            data = marshal.dumps([fn(x) for x in items[1::2]])
+            data = marshal.dumps(drain())
             with open(write, "wb") as pipe:
                 pipe.write(data)
             status = 0
@@ -68,17 +93,16 @@ def split_map(fn, items):
     data = None
     try:
         with open(read, "rb") as pipe:
-            even = [fn(x) for x in items[::2]]
+            done = drain()
             data = pipe.read()
     except Exception:
         pass  # the serial rerun below raises it again, from the first failing item
     finally:
+        os.close(tickets)
         if data is None:
             os.kill(pid, _SIGKILL)
         status = os.waitpid(pid, 0)[1]
     if data is None or status != 0:
         return [fn(x) for x in items]
-    out = [None] * len(items)
-    out[::2] = even
-    out[1::2] = marshal.loads(data)
-    return out
+    done.update(marshal.loads(data))
+    return [y for chunk in range(chunks) for y in done[chunk]]

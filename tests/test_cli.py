@@ -182,6 +182,9 @@ def test_usage_errors(capsys, tmp_path):
     bad.write_text("3\n0 x\n")
     code, _, err = run(capsys, "invariants", "--file", str(bad), "--format", "edgelist")
     assert code == 2 and "bad edge-list line '0 x'" in err
+    bad.write_text("٣\n٠ ١\n١ ٢\n", encoding="utf-8")  # Arabic-Indic digits are not read as P3
+    code, out, err = run(capsys, "invariants", "--file", str(bad), "--format", "edgelist")
+    assert code == 2 and out == "" and "vertex count" in err
     code, _, err = run(capsys, "invariants", "--graph6", "?")  # n = 0
     assert code == 2 and "empty graph" in err
     for family in ("P99999999999", "K{40,30}", "join(K1,F31)"):

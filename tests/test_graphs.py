@@ -306,3 +306,10 @@ def test_edge_list_round_trip():
         parse_edge_list("x\n")
     with pytest.raises(ValueError):
         parse_edge_list("2\n0 1 2\n")
+    # only ASCII decimal digits: int() would also read other scripts' digits, signs and "_"
+    for text in ("٣\n٠ ١\n١ ٢\n", "+3\n", "-3\n", "1_0\n"):
+        with pytest.raises(ValueError, match="vertex count"):
+            parse_edge_list(text)
+    for text in ("3\n+0 +1\n", "11\n1_0 1\n", "3\n-1 0\n", "3\n0 ١\n"):
+        with pytest.raises(ValueError, match="bad edge-list line"):
+            parse_edge_list(text)

@@ -3,17 +3,21 @@
 Each batch runs twice: once with the split off (the CPU count reads 1)
 and once with it on (the CPU count reads 2, whatever the host has), where
 a wrapper on os.fork counts the forks and one on os.waitpid records the
-child's exit status, so a test cannot pass on a serial fallback.
+child's exit status, so a test cannot pass on a serial fallback.  The two
+processes draw chunks of items as they come free, so which process
+computes an item is not fixed: the tests that need one process or the
+other tell them apart by os.getpid().
 """
 
 import os
 import random
 import threading
+import time
 from itertools import combinations
 
 import pytest
 
-from kdom import Graph, enumeration, graph6_encode, split
+from kdom import Graph, cli, enumeration, graph6_encode, split
 from kdom.cli import main
 from kdom.enumeration import connected_graphs
 from kdom.verifier import level_records
@@ -62,12 +66,29 @@ def build_levels(top):
 
 
 def test_split_map_keeps_the_order_of_any_batch(forks):
-    for size in (0, 1, split.SPLIT_MIN - 1, split.SPLIT_MIN, split.SPLIT_MIN + 1, 1000):
+    # 256, 257 and 513 sit at the chunk-size steps; 3001 items make 251 chunks of 12, the last of 1
+    sizes = (0, 1, split.SPLIT_MIN - 1, split.SPLIT_MIN, split.SPLIT_MIN + 1, 256, 257, 513, 1000, 3001)
+    for size in sizes:
         items = list(range(size))
         assert split.split_map(lambda x: (x, str(x), [x] * (x % 3), None), items) == [
             (x, str(x), [x] * (x % 3), None) for x in items
         ]
-    assert forks["forks"] == 3 and forks["statuses"] == [0, 0, 0]
+    assert forks["forks"] == 7 and forks["statuses"] == [0] * 7
+    assert_no_child_left()
+
+
+def test_the_free_process_takes_the_remaining_chunks(forks):
+    """While one process sleeps on item 0, the other computes every other item."""
+
+    def pid(x):
+        if x == 0:
+            time.sleep(0.5)
+        return os.getpid()
+
+    out = split.split_map(pid, range(split.SPLIT_MIN))
+    assert forks["forks"] == 1 and forks["statuses"] == [0]
+    assert os.getpid() in out and len(set(out)) == 2
+    assert out[0] not in out[1:]
     assert_no_child_left()
 
 
@@ -118,17 +139,31 @@ def test_invariants_equal_serial_and_split(monkeypatch, capsys, tmp_path, forks)
     assert split_run[0] == 0 and split_run[2] == ""
 
 
-@pytest.mark.parametrize("index", [1, 2])
-def test_a_failing_item_raises_the_serial_error(monkeypatch, capsys, tmp_path, forks, index):
-    """An empty graph at an odd index fails in the child, at an even one in the parent."""
+@pytest.mark.parametrize("where", ["parent", "child"])
+def test_a_failing_item_raises_the_serial_error(monkeypatch, capsys, tmp_path, forks, where):
+    """The first item that `where` computes fails; the serial rerun raises the empty graph's error."""
     lines = [graph6_encode(g) for g in seeded_graphs(split.SPLIT_MIN + 1)]
-    lines[index] = "?"  # n = 0
+    lines[2] = "?"  # n = 0
     path = tmp_path / "graphs.g6"
     path.write_text("".join(line + "\n" for line in lines))
+    parent, row, first = os.getpid(), cli._invariants_row, []
+
+    def failing_row(g):
+        """The first call in each process fails in `where` and waits 0.2 s in the other one."""
+        if not first:
+            first.append(g)  # in the child, only the child's copy grows
+            if (os.getpid() == parent) == (where == "parent"):
+                raise ValueError("injected failure")
+            time.sleep(0.2)
+        return row(g)
+
+    monkeypatch.setattr(cli, "_invariants_row", failing_row)
     code, out, err = invariants(capsys, path)
-    assert forks["forks"] == 1 and len(forks["statuses"]) == 1
+    assert forks["forks"] == 1 and len(forks["statuses"]) == 1 and len(first) == 1
+    if where == "child":
+        assert os.waitstatus_to_exitcode(forks["statuses"][0]) == 1
     assert code == 2 and out == ""
-    assert "empty graph" in err and "Traceback" not in err
+    assert "empty graph" in err and "injected" not in err and "Traceback" not in err
     assert_no_child_left()
     monkeypatch.setattr(split, "_cpus", lambda: 1)
     assert invariants(capsys, path) == (code, out, err)
