@@ -23,7 +23,7 @@ two last vertices would give a smaller string.  The connected level is the
 kept graphs that are connected.  Levels are cached, so repeat calls are
 free within a process.  Each parent's children depend only on that
 parent, so a level's parents go through kdom.split.split_map, which
-hands every other one to a forked child on a host with two CPUs.
+shares them out in chunks with a forked child on a host with two CPUs.
 
 Guards (check_guard, which builds nothing): n <= 8 by default;
 allow_large=True (`kdom enumerate --allow-large`) lifts it to the hard

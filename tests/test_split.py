@@ -78,7 +78,7 @@ def test_split_map_keeps_the_order_of_any_batch(forks):
 
 
 def test_the_free_process_takes_the_remaining_chunks(forks):
-    """While one process sleeps on item 0, the other computes every other item."""
+    """While one process sleeps on item 0, the other computes all the remaining items."""
 
     def pid(x):
         if x == 0:
