@@ -3,16 +3,16 @@
 Subcommands: invariants, construct, enumerate, characterize,
 check-theorem, verify-bound, audit.  Output is UTF-8 text or JSON
 (--json); JSON is byte-deterministic for identical inputs.  Exit codes:
-0 success, 1 discrepancy findings under --strict-paper or any non-empty
-failure list of audit, 2 usage errors (bad input files, malformed
-graph6, guard violations).
+0 success, 1 discrepancy findings under --strict-paper, a violation of
+the bound in verify-bound or any non-empty failure list of audit,
+2 usage errors (bad input files, malformed graph6, guard violations).
 """
 
 import argparse
 import json
 import sys
 
-from .catalog import THEOREM_OFFSETS, canonical_names
+from .catalog import THEOREM_OFFSETS, canonical_names, theorem_catalog
 from .connectivity import vertex_connectivity
 from .domination import gamma_k
 from .enumeration import connected_graphs
@@ -49,12 +49,13 @@ def _load_graphs(args):
     if args.file:
         with open(args.file, encoding="utf-8") as handle:
             text = handle.read()
-        if args.format == "edgelist":
+        lines = [line for line in text.splitlines() if line.strip()]
+        if not lines:
+            raise ValueError(f"no graph in {args.file}")
+        if lines[0].strip().isdigit():  # a vertex count; a graph6 size byte chr(63+n) is never a digit
             out.append(parse_edge_list(text))
         else:
-            for line in text.splitlines():
-                if line.strip():
-                    out.append(graph6_decode(line))
+            out.extend(map(graph6_decode, lines))
     if not out:
         raise ValueError("no input graph; pass --family, --graph6 or --file")
     return out
@@ -176,15 +177,13 @@ def _cmd_verify_bound(args):
     doc = verify_bound(args.max_n)
     if args.json:
         _emit_json(doc)
-        if not args.strict_paper:
-            return 0  # the catalog names serve only the text line and --strict-paper
-    lookup = canonical_names()
-    names = [_entry_names(g6, lookup) for g6 in doc["equality"]]
-    if not args.json:
-        _emit(f"{len(doc['violations'])} violations, equality: {', '.join(names) or '(none)'}\n")
-    if args.strict_paper and (doc["violations"] or names != ["K3"]):
-        return 1
-    return 0
+    else:
+        lookup = canonical_names()
+        names = ", ".join(_entry_names(g6, lookup) for g6 in doc["equality"])
+        _emit(f"{len(doc['violations'])} violations, equality: {names or '(none)'}\n")
+    if args.strict_paper and doc["equality"] != sorted(e.canon for e in theorem_catalog("3.1")[0]):
+        return 1  # Theorem 3.1 lists exactly the graphs that attain the bound
+    return 1 if doc["violations"] else 0
 
 
 def _cmd_audit(args):
@@ -234,8 +233,7 @@ def _build_parser():
     p = sub.add_parser("invariants", help="gamma, gamma3, double domination, kappa, degrees")
     p.add_argument("--family", help="family DSL expression, e.g. 'C4(P2,2P3,P4,P3)'")
     p.add_argument("--graph6", help="a graph6 string")
-    p.add_argument("--file", help="input file (graph6 lines, or an edge list)")
-    p.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
+    p.add_argument("--file", help="input file: graph6 lines, or an edge list (first line n)")
     add_common(p)
     p.set_defaults(func=_cmd_invariants)
 

@@ -102,8 +102,9 @@ def verify_bound(n_max=DEFAULT_N_MAX):
 
 def characterize(target_offset, n_max=DEFAULT_N_MAX):
     """Per-n extremal sets with gamma3+kappa = 2n - target_offset, canonical order."""
-    if target_offset not in THEOREM_OFFSETS.values():
-        raise ValueError("target_offset must be in 1..5")
+    offsets = THEOREM_OFFSETS.values()
+    if target_offset not in offsets:
+        raise ValueError(f"target_offset must be in {min(offsets)}..{max(offsets)}")
     return {
         "target_offset": target_offset,
         "n_max": n_max,

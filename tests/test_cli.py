@@ -7,7 +7,7 @@ from kdom import Graph, complete, complete_bipartite, cycle, graph6_encode, remo
 from kdom.catalog import theorem_catalog
 from kdom.cli import main
 from kdom.isomorphism import canonical_graph6
-from kdom.verifier import audit_small_theorems, characterize, check_theorem, verify_bound
+from kdom.verifier import GraphRecord, audit_small_theorems, characterize, check_theorem, level_records, verify_bound
 
 
 def run(capsys, *argv):
@@ -44,7 +44,7 @@ def test_invariants_graph6_and_file(capsys, tmp_path):
     assert [row["n"] for row in json.loads(out)] == [4, 3]
     edge = tmp_path / "g.edges"
     edge.write_text("3\n0 1\n1 2\n")
-    code, out, _ = run(capsys, "invariants", "--file", str(edge), "--format", "edgelist")
+    code, out, _ = run(capsys, "invariants", "--file", str(edge))
     assert code == 0 and "gamma3: 3" in out
 
 
@@ -121,12 +121,27 @@ def test_verify_bound_text(capsys):
     assert code == 0
 
 
+def test_verify_bound_exits_1_on_a_violation(monkeypatch, capsys):
+    # a record of sum 2n at n = 4 breaks the bound 2n-1; no flag is needed to fail
+    def violating(n):
+        recs = level_records(n)
+        return recs + (GraphRecord("C~", 5, 3, 3, 3),) if n == 4 else recs
+
+    monkeypatch.setattr("kdom.verifier.level_records", violating)
+    code, out, _ = run(capsys, "verify-bound", "--max-n", "5")
+    assert (code, out) == (1, "1 violations, equality: K3\n")
+    code, out, _ = run(capsys, "verify-bound", "--max-n", "5", "--json")
+    assert code == 1 and json.loads(out)["violations"] == [{"g6": "C~", "gamma3": 5, "kappa": 3}]
+
+
 def test_verify_bound_json_leaves_the_catalog_unbuilt(capsys):
-    # the catalog names serve only the text line and --strict-paper
+    # the catalog names serve only the text line; --strict-paper builds Theorem 3.1 alone
     theorem_catalog.cache_clear()
     code, out, _ = run(capsys, "verify-bound", "--max-n", "4", "--json")
     assert code == 0 and json.loads(out)["violations"] == []
     assert theorem_catalog.cache_info().currsize == 0
+    code, _, _ = run(capsys, "verify-bound", "--max-n", "6", "--strict-paper", "--json")
+    assert code == 0 and theorem_catalog.cache_info().currsize == 1
 
 
 def test_check_theorem_exit_codes(capsys):
@@ -176,15 +191,27 @@ def test_usage_errors(capsys, tmp_path):
     # vertex counts above the 62-vertex cap are refused before any row is built
     huge = tmp_path / "huge.edges"
     huge.write_text("99999999999\n0 1\n")
-    code, _, err = run(capsys, "invariants", "--file", str(huge), "--format", "edgelist")
+    code, _, err = run(capsys, "invariants", "--file", str(huge))
     assert code == 2 and "99999999999" in err
     bad = tmp_path / "bad.edges"
     bad.write_text("3\n0 x\n")
-    code, _, err = run(capsys, "invariants", "--file", str(bad), "--format", "edgelist")
+    code, _, err = run(capsys, "invariants", "--file", str(bad))
     assert code == 2 and "bad edge-list line '0 x'" in err
     bad.write_text("٣\n٠ ١\n١ ٢\n", encoding="utf-8")  # Arabic-Indic digits are not read as P3
-    code, out, err = run(capsys, "invariants", "--file", str(bad), "--format", "edgelist")
+    code, out, err = run(capsys, "invariants", "--file", str(bad))
     assert code == 2 and out == "" and "vertex count" in err
+    # the reader is chosen by the first non-blank line; --format is gone
+    code, _, err = run(capsys, "invariants", "--file", str(bad), "--format", "edgelist")
+    assert code == 2 and "--format" in err
+    bad.write_text("-3\n0 1\n")  # not a vertex count, so read (and refused) as graph6
+    code, _, err = run(capsys, "invariants", "--file", str(bad))
+    assert code == 2 and "graph6 size byte '-' out of range" in err
+    # a file holding no graph is named in the error
+    for name, text in (("empty.g6", ""), ("blank.g6", "\n  \r\n\t\n")):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, "invariants", "--file", str(path))
+        assert (code, out, err) == (2, "", f"error: no graph in {path}\n"), name
     code, _, err = run(capsys, "invariants", "--graph6", "?")  # n = 0
     assert code == 2 and "empty graph" in err
     for family in ("P99999999999", "K{40,30}", "join(K1,F31)"):

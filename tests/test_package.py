@@ -2,10 +2,14 @@ import ast
 import doctest
 import json
 import os
+import shlex
 import subprocess
 import sys
 
+import pytest
+
 import kdom
+from kdom.cli import _build_parser
 
 
 def test_public_names_resolve():
@@ -45,6 +49,27 @@ def test_readme_examples_run():
     readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
     result = doctest.testfile(readme, module_relative=False)
     assert result.attempted > 0 and result.failed == 0
+
+
+def test_readme_cli_lines_parse():
+    """Every kdom line of README's CLI block parses, so a stale option fails."""
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        block = handle.read().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    parser = _build_parser()
+    argvs = []
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["kdom"]:
+            argvs.append(words[1:])
+        elif words[:3] == ["python", "-m", "kdom"]:
+            argvs.append(words[3:])
+    assert len(argvs) == len(block.splitlines())
+    for argv in argvs:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README's CLI line does not parse: kdom {shlex.join(argv)}")
 
 
 def test_python_m_kdom_runs_the_cli():
