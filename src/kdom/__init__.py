@@ -1,81 +1,29 @@
 """Exact solvers and an exhaustive verifier for 3-domination plus connectivity
-extremal graphs on small vertex counts."""
+extremal graphs on small vertex counts.
 
-from .graphs import (
-    MAX_VERTICES,
-    Graph,
-    attach_pendant_paths,
-    complement,
-    complete,
-    complete_bipartite,
-    cycle,
-    disjoint_union,
-    friendship,
-    graph6_decode,
-    graph6_encode,
-    greedy_matching,
-    is_connected,
-    join,
-    max_degree,
-    min_degree,
-    parse_edge_list,
-    path,
-    remove_matching,
-    wheel,
-)
-from .catalog import CatalogEntry, DiscrepancyNote, checked_catalog
-from .connectivity import CutResult, vertex_connectivity
-from .domination import (
-    DominationResult,
-    gamma3,
-    gamma_k,
-    is_k_dominating,
-    is_k_tuple_dominating,
-)
-from .enumeration import connected_graphs
-from .families import FamilyParseError, build_family
-from .isomorphism import CanonicalForm, canonical_form, canonical_graph6
-from .verifier import audit_small_theorems, characterize, check_theorem, verify_bound
+Each public name loads its module on first use (PEP 562), so a process
+imports only the layers it runs."""
 
-__all__ = [
-    "CatalogEntry",
-    "DiscrepancyNote",
-    "checked_catalog",
-    "CutResult",
-    "vertex_connectivity",
-    "DominationResult",
-    "gamma3",
-    "gamma_k",
-    "is_k_dominating",
-    "is_k_tuple_dominating",
-    "connected_graphs",
-    "FamilyParseError",
-    "build_family",
-    "audit_small_theorems",
-    "characterize",
-    "check_theorem",
-    "verify_bound",
-    "MAX_VERTICES",
-    "Graph",
-    "attach_pendant_paths",
-    "complement",
-    "complete",
-    "complete_bipartite",
-    "cycle",
-    "disjoint_union",
-    "friendship",
-    "graph6_decode",
-    "graph6_encode",
-    "greedy_matching",
-    "is_connected",
-    "join",
-    "max_degree",
-    "min_degree",
-    "parse_edge_list",
-    "path",
-    "remove_matching",
-    "wheel",
-    "CanonicalForm",
-    "canonical_form",
-    "canonical_graph6",
-]
+import importlib
+
+_NAMES = {  # module: the public names it defines
+    "catalog": "CatalogEntry DiscrepancyNote checked_catalog",
+    "connectivity": "CutResult vertex_connectivity",
+    "domination": "DominationResult gamma3 gamma_k is_k_dominating is_k_tuple_dominating",
+    "enumeration": "connected_graphs",
+    "families": "FamilyParseError build_family",
+    "graphs": "MAX_VERTICES Graph attach_pendant_paths complement complete complete_bipartite cycle "
+    "disjoint_union friendship graph6_decode graph6_encode greedy_matching is_connected join "
+    "max_degree min_degree parse_edge_list path remove_matching wheel",
+    "isomorphism": "CanonicalForm canonical_form canonical_graph6",
+    "verifier": "audit_small_theorems characterize check_theorem verify_bound",
+}
+_HOME = {name: module for module, names in _NAMES.items() for name in names.split()}
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    return value

@@ -5,28 +5,23 @@ check-theorem, verify-bound, audit.  Output is UTF-8 text or JSON
 (--json); JSON is byte-deterministic for identical inputs.  Exit codes:
 0 success, 1 discrepancy findings under --strict-paper, a violation of
 the bound in verify-bound or any non-empty failure list of audit,
-2 usage errors (bad input files, malformed graph6, guard violations).
-"""
+2 usage errors (bad input files, malformed graph6, guard violations,
+an unknown theorem or offset).
+
+Importing this module loads only the layers every invariants call runs
+(graphs, domination, connectivity, split); each command imports the
+rest it needs.  The valid theorems and offsets and the default --max-n
+are the verifier's, so the parser leaves them to it.  invariants renders
+each graph's row, text or JSON, in the split_map process that solved it."""
 
 import argparse
 import json
 import sys
 
-from .catalog import THEOREM_OFFSETS, canonical_names, theorem_catalog
 from .connectivity import vertex_connectivity
 from .domination import gamma_k
-from .enumeration import connected_graphs
-from .families import build_family
 from .graphs import graph6_decode, graph6_encode, max_degree, min_degree, parse_edge_list
 from .split import split_map
-from .verifier import (
-    DEFAULT_N_MAX,
-    audit_small_theorems,
-    characterize,
-    check_theorem,
-    horizon,
-    verify_bound,
-)
 
 USAGE_ERROR = 2
 
@@ -35,14 +30,20 @@ def _emit(text):
     sys.stdout.write(text)
 
 
+def _json(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
 def _emit_json(obj):
-    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _emit(_json(obj) + "\n")
 
 
 def _load_graphs(args):
     """Graphs named by --family / --graph6 / --file flags, in order."""
     out = []
     if args.family:
+        from .families import build_family
+
         out.append(build_family(args.family))
     if args.graph6:
         out.append(graph6_decode(args.graph6))
@@ -90,28 +91,40 @@ def _invariants_row(g):
     }
 
 
+def _invariants_text(row):
+    out = [
+        f"graph6: {row['graph6']}\n",
+        f"n: {row['n']}\nedges: {row['edges']}\n",
+        f"min_degree: {row['min_degree']}\nmax_degree: {row['max_degree']}\n",
+    ]
+    for key in ("gamma", "gamma3", "double_domination"):
+        val = row[key]
+        if not val.get("feasible", True):
+            out.append(f"{key}: infeasible\n")
+        else:
+            witness = ",".join(map(str, val["witness"]))
+            out.append(f"{key}: {val['number']} witness: {{{witness}}}\n")
+    cut = row["kappa"]
+    out.append(f"kappa: {cut['kappa']} cut: {{{','.join(map(str, cut['cut']))}}}\n")
+    return "".join(out)
+
+
 def _cmd_invariants(args):
-    rows = split_map(_invariants_row, _load_graphs(args))
-    if args.json:
-        _emit_json(rows if len(rows) > 1 else rows[0])
-        return 0
-    for row in rows:
-        _emit(f"graph6: {row['graph6']}\n")
-        _emit(f"n: {row['n']}\nedges: {row['edges']}\n")
-        _emit(f"min_degree: {row['min_degree']}\nmax_degree: {row['max_degree']}\n")
-        for key in ("gamma", "gamma3", "double_domination"):
-            val = row[key]
-            if not val.get("feasible", True):
-                _emit(f"{key}: infeasible\n")
-            else:
-                witness = ",".join(map(str, val["witness"]))
-                _emit(f"{key}: {val['number']} witness: {{{witness}}}\n")
-        cut = row["kappa"]
-        _emit(f"kappa: {cut['kappa']} cut: {{{','.join(map(str, cut['cut']))}}}\n")
+    graphs = _load_graphs(args)  # a malformed input fails here, before any graph is solved
+    render = _json if args.json else _invariants_text
+    texts = split_map(lambda g: render(_invariants_row(g)), graphs)  # each row rendered where it was solved
+    if not args.json:
+        _emit("".join(texts))
+    elif len(texts) == 1:
+        _emit(texts[0] + "\n")
+    else:  # json.dumps(rows, indent=2): a JSON string holds no raw newline, so each row nests by two spaces
+        _emit("[\n  " + ",\n  ".join(t.replace("\n", "\n  ") for t in texts) + "\n]\n")
     return 0
 
 
 def _cmd_construct(args):
+    from .families import build_family
+
     g = build_family(args.family)
     if args.json:
         _emit_json({"family": args.family, "graph6": graph6_encode(g), "n": g.n, "edges": g.edge_count()})
@@ -121,6 +134,8 @@ def _cmd_construct(args):
 
 
 def _cmd_enumerate(args):
+    from .enumeration import connected_graphs
+
     level = connected_graphs(args.n, allow_large=args.allow_large)
     strings = [graph6_encode(g) for g in level]
     if args.json:
@@ -134,13 +149,21 @@ def _entry_names(g6, lookup):
     return ",".join(lookup.get(g6, [g6]))
 
 
+def _n_max(args):
+    """--max-n as a sweep's n_max keyword, or none, so the sweep's own default applies."""
+    return {} if args.max_n is None else {"n_max": args.max_n}
+
+
 def _cmd_characterize(args):
-    doc = characterize(args.offset, args.max_n)
+    from .catalog import canonical_names
+    from .verifier import characterize
+
+    doc = characterize(args.offset, **_n_max(args))
     if args.json:
         _emit_json(doc)
         return 0
     lookup = canonical_names()
-    _emit(f"gamma3+kappa = 2n-{args.offset}, n = 3..{args.max_n}\n")
+    _emit(f"gamma3+kappa = 2n-{args.offset}, n = 3..{doc['n_max']}\n")
     for level in doc["levels"]:
         recs = level["extremal"]
         if not recs:
@@ -152,7 +175,9 @@ def _cmd_characterize(args):
 
 
 def _cmd_check_theorem(args):
-    doc = check_theorem(args.theorem, args.max_n)
+    from .verifier import check_theorem, horizon
+
+    doc = check_theorem(args.theorem, **_n_max(args))
     if args.json:
         _emit_json(doc)
     else:
@@ -174,7 +199,10 @@ def _cmd_check_theorem(args):
 
 
 def _cmd_verify_bound(args):
-    doc = verify_bound(args.max_n)
+    from .catalog import canonical_names, theorem_catalog
+    from .verifier import verify_bound
+
+    doc = verify_bound(**_n_max(args))
     if args.json:
         _emit_json(doc)
     else:
@@ -187,7 +215,9 @@ def _cmd_verify_bound(args):
 
 
 def _cmd_audit(args):
-    doc = audit_small_theorems(args.max_n)
+    from .verifier import audit_small_theorems
+
+    doc = audit_small_theorems(**_n_max(args))
     if args.json:
         _emit_json(doc)
     else:
@@ -249,24 +279,24 @@ def _build_parser():
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("characterize", help="extremal sets gamma3+kappa = 2n-offset")
-    p.add_argument("--offset", type=int, required=True, choices=tuple(THEOREM_OFFSETS.values()))
-    p.add_argument("--max-n", type=int, default=DEFAULT_N_MAX)
+    p.add_argument("--offset", type=int, required=True)
+    p.add_argument("--max-n", type=int)
     add_common(p)
     p.set_defaults(func=_cmd_characterize)
 
     p = sub.add_parser("check-theorem", help="diff one theorem's list against the computation")
-    p.add_argument("theorem", choices=tuple(THEOREM_OFFSETS))
-    p.add_argument("--max-n", type=int, default=DEFAULT_N_MAX)
+    p.add_argument("theorem")
+    p.add_argument("--max-n", type=int)
     add_common(p, strict=True)
     p.set_defaults(func=_cmd_check_theorem)
 
     p = sub.add_parser("verify-bound", help="check gamma3+kappa <= 2n-1 exhaustively")
-    p.add_argument("--max-n", type=int, default=DEFAULT_N_MAX)
+    p.add_argument("--max-n", type=int)
     add_common(p, strict=True)
     p.set_defaults(func=_cmd_verify_bound)
 
     p = sub.add_parser("audit", help="sweep the small structural facts")
-    p.add_argument("--max-n", type=int, default=7)
+    p.add_argument("--max-n", type=int)
     add_common(p, strict=True)
     p.set_defaults(func=_cmd_audit)
 

@@ -167,7 +167,7 @@ _G2_EDGES = ((0, 1), (0, 2), (0, 3), (2, 5), (3, 5), (4, 5), (1, 4))
 _G2_CLAIMED_SET = (2, 3, 4, 5)  # the claimed S2 = {v3, v4, v5, v6}
 
 
-def audit_small_theorems(n_max):
+def audit_small_theorems(n_max=7):
     """Sweep the small structural facts over all enumerated connected graphs."""
     delta_fail = []  # gamma3 = n xor max_degree <= 2
     obs_fail = []  # not 3 <= gamma3 <= n

@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 from kdom import Graph, complete, complete_bipartite, cycle, graph6_encode, remove_matching, wheel
-from kdom.catalog import theorem_catalog
+from kdom.catalog import THEOREM_OFFSETS, theorem_catalog
 from kdom.cli import main
 from kdom.isomorphism import canonical_graph6
 from kdom.verifier import GraphRecord, audit_small_theorems, characterize, check_theorem, level_records, verify_bound
@@ -222,6 +222,20 @@ def test_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "construct", "--family", deep)
     assert code == 2 and "nested deeper" in err and "offset 1100" in err
     assert main([]) == 2
+
+
+def test_unknown_theorem_or_offset_exits_2_before_any_level(monkeypatch, capsys):
+    # the verifier, not the parser, knows the valid values, and it checks them first
+    def unreachable(*args):
+        raise AssertionError("a level was built for an unknown theorem or offset")
+
+    monkeypatch.setattr("kdom.verifier.connected_graphs", unreachable)
+    monkeypatch.setattr("kdom.verifier.level_records", unreachable)
+    for max_n in ((), ("--max-n", "8")):
+        code, out, err = run(capsys, "check-theorem", "3.9", *max_n)
+        assert (code, out) == (2, "") and all(repr(theorem) in err for theorem in THEOREM_OFFSETS)
+        code, out, err = run(capsys, "characterize", "--offset", "9", *max_n)
+        assert (code, out, err) == (2, "", "error: target_offset must be in 1..5\n")
 
 
 def test_help_exits_zero():

@@ -1,5 +1,6 @@
 import ast
 import doctest
+import importlib
 import json
 import os
 import shlex
@@ -42,6 +43,29 @@ def test_imports_need_only_the_standard_library():
     assert "kdom" in loaded
     assert "dataclasses" not in loaded
     assert [m for m in loaded if m != "kdom" and m not in sys.stdlib_module_names] == []
+
+
+def test_import_cli_loads_only_the_layers_invariants_runs():
+    """A CLI process loads graphs, domination, connectivity and split up
+    front; every other layer waits for the command that uses it."""
+    probe = "import sys, kdom.cli\nprint(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'kdom')))\n"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kdom.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["kdom", "kdom.cli", "kdom.connectivity", "kdom.domination", "kdom.graphs", "kdom.split"]
+
+
+def test_each_public_name_is_its_defining_modules_object():
+    for name in kdom.__all__:
+        home = importlib.import_module(f"kdom.{kdom._HOME[name]}")
+        value = getattr(kdom, name)
+        assert value is getattr(home, name), name
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+    assert not hasattr(kdom, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kdom.no_such_name
 
 
 def test_readme_examples_run():

@@ -9,6 +9,7 @@ computes an item is not fixed: the tests that need one process or the
 other tell them apart by os.getpid().
 """
 
+import json
 import os
 import random
 import threading
@@ -17,7 +18,7 @@ from itertools import combinations
 
 import pytest
 
-from kdom import Graph, cli, enumeration, graph6_encode, split
+from kdom import Graph, cli, complete, enumeration, graph6_encode, split
 from kdom.cli import main
 from kdom.enumeration import connected_graphs
 from kdom.verifier import level_records
@@ -137,6 +138,42 @@ def test_invariants_equal_serial_and_split(monkeypatch, capsys, tmp_path, forks)
     monkeypatch.setattr(split, "_cpus", lambda: 1)
     assert invariants(capsys, path) == split_run
     assert split_run[0] == 0 and split_run[2] == ""
+
+
+def parent_text(rows):
+    """The text output as the CLI built it from whole rows, after the split."""
+    out = []
+    for row in rows:
+        out.append(f"graph6: {row['graph6']}\nn: {row['n']}\nedges: {row['edges']}\n")
+        out.append(f"min_degree: {row['min_degree']}\nmax_degree: {row['max_degree']}\n")
+        for key in ("gamma", "gamma3", "double_domination"):
+            val = row[key]
+            if not val.get("feasible", True):
+                out.append(f"{key}: infeasible\n")
+            else:
+                out.append(f"{key}: {val['number']} witness: {{{','.join(map(str, val['witness']))}}}\n")
+        out.append(f"kappa: {row['kappa']['kappa']} cut: {{{','.join(map(str, row['kappa']['cut']))}}}\n")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("names, more", [("K1", 0), ("K4", 0), ("K1 K4", 0), ("K1 K4", split.SPLIT_MIN)])
+def test_rows_rendered_in_the_split_print_as_the_rows_did(monkeypatch, capsys, tmp_path, forks, names, more):
+    """Each process renders the rows it solved; the JSON output is still
+    json.dumps of the rows, and the text is the parent's, split or serial."""
+    graphs = [complete(int(name[1:])) for name in names.split()] + seeded_graphs(more)
+    rows = [cli._invariants_row(g) for g in graphs]
+    heads = rows[: len(names.split())]
+    assert all(row["kappa"]["separated"] is None for row in heads)  # a complete graph separates no pair
+    assert [row["double_domination"] == {"feasible": False} for row in heads] == [n == "K1" for n in names.split()]
+    expected_json = json.dumps(rows if len(rows) > 1 else rows[0], indent=2, sort_keys=True) + "\n"
+    path = tmp_path / "graphs.g6"
+    path.write_text("".join(graph6_encode(g) + "\n" for g in graphs))
+    for cpus in (2, 1):
+        monkeypatch.setattr(split, "_cpus", lambda: cpus)
+        assert invariants(capsys, path) == (0, expected_json, "")
+        assert main(["invariants", "--file", str(path)]) == 0
+        assert capsys.readouterr() == (parent_text(rows), "")
+    assert forks["forks"] == (2 if more else 0) and set(forks["statuses"]) <= {0}
 
 
 @pytest.mark.parametrize("where", ["parent", "child"])
