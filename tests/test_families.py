@@ -93,6 +93,14 @@ def test_parse_errors_carry_offsets():
         with pytest.raises(FamilyParseError, match="unexpected character") as err:
             build_family(text)
         assert err.value.offset == offset, text
+    # a name starts with an ASCII letter, so "_" cannot begin one
+    for text, offset in (("_K3", 0), ("join(K1,_P4)", 8)):
+        with pytest.raises(FamilyParseError, match="unexpected character '_'") as err:
+            build_family(text)
+        assert err.value.offset == offset, text
+    # any Unicode whitespace separates tokens
+    assert build_family("\xa0K5") == build_family("K5\x1c") == build_family("K5")
+    assert build_family("join(K1,\u3000P4)") == build_family("join(K1,P4)")
 
 
 def test_evaluation_errors():

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -273,23 +274,28 @@ def test_graph6_known_values():
 def test_graph6_round_trip_random():
     rng = random.Random(4)
     for _ in range(1000):
-        g = random_graph(rng.randint(0, 12), rng, p=rng.random())
+        g = random_graph(rng.randint(0, MAX_VERTICES), rng, p=rng.random())
         assert graph6_decode(graph6_encode(g)) == g
 
 
 def test_graph6_malformed():
-    with pytest.raises(ValueError):
-        graph6_decode("")
-    with pytest.raises(ValueError):
-        graph6_decode("~??")  # multi-byte size form
-    with pytest.raises(ValueError):
-        graph6_decode("C")  # truncated body
-    with pytest.raises(ValueError):
-        graph6_decode("C~~")  # overlong body
-    with pytest.raises(ValueError):
-        graph6_decode("B" + chr(40))  # byte below 63
-    with pytest.raises(ValueError):
-        graph6_decode("A" + chr(63 + 1))  # nonzero padding bits
+    cases = (
+        ("", "empty graph6 string"),
+        ("~??", "multi-byte graph6 size forms"),
+        ("C", "graph6 body has 0 bytes, expected 1"),  # truncated body
+        ("C~~", "graph6 body has 2 bytes, expected 1"),  # overlong body
+        ("B" + chr(40), "graph6 byte '(' out of range"),  # byte below 63
+        ("A" + chr(63 + 1), "nonzero padding bits"),
+        # bytes above "~", first and last in the body; the first bad byte is named
+        ("D" + chr(127) + "?", "graph6 byte '\\x7f' out of range"),
+        ("D?" + chr(127), "graph6 byte '\\x7f' out of range"),
+        ("Dé?", "graph6 byte 'é' out of range"),
+        ("D?é", "graph6 byte 'é' out of range"),
+        ("D" + chr(62) + "é", "graph6 byte '>' out of range"),
+    )
+    for text, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            graph6_decode(text)
 
 
 # ---------------------------------------------------------------------------
