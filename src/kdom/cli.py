@@ -41,13 +41,13 @@ def _emit_json(obj):
 def _load_graphs(args):
     """Graphs named by --family / --graph6 / --file flags, in order."""
     out = []
-    if args.family:
+    if args.family is not None:
         from .families import build_family
 
         out.append(build_family(args.family))
-    if args.graph6:
+    if args.graph6 is not None:
         out.append(graph6_decode(args.graph6))
-    if args.file:
+    if args.file is not None:
         with open(args.file, encoding="utf-8") as handle:
             text = handle.read()
         lines = [line for line in text.splitlines() if line.strip()]

@@ -16,13 +16,15 @@ Functions nest at most MAX_NESTING deep.
 
 The recursive-descent parser calls the kdom.graphs constructors as it
 reads, so every parse step returns a Graph and no expression tree is kept.
-Tokens are ASCII, so "K²" is a syntax error.  Syntax errors raise
-FamilyParseError with the offset of the offending token, an index into
-the text (the byte offset for ASCII text); a constructor's own ValueError
-(C2, a matching that does not fit, a union above the vertex cap) passes
-through unchanged.  With two faults in one input, the first one read is
-reported.
+Tokens are ASCII and match one pattern, _TOKEN, so "K²" is a syntax
+error.  Syntax errors raise FamilyParseError with the offset of the
+offending token, an index into the text (the byte offset for ASCII text);
+a constructor's own ValueError (C2, a matching that does not fit, a union
+above the vertex cap) passes through unchanged.  With two faults in one
+input, the first one read is reported.
 """
+
+import re
 
 from . import graphs as _g
 
@@ -36,6 +38,9 @@ ATOM_BUILDERS = {
 }
 MAX_NESTING = 100  # functions inside functions; keeps the parser off the recursion limit
 MAX_INT_DIGITS = 100  # keeps int() off Python's 4300-digit conversion limit
+# a name, an integer, punctuation, or else an unexpected character; [0-9], since \d
+# also admits "٣"; whitespace matches no group, and \s is exactly str.isspace
+_TOKEN = re.compile(r"([A-Za-z][A-Za-z_]*)|([0-9]+)|([(){},])|(\S)")
 
 
 class FamilyParseError(ValueError):
@@ -63,31 +68,19 @@ def _found(kind, value):
 
 def _tokenize(text):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isascii() and ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isascii() and (text[j].isalpha() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-        elif "0" <= ch <= "9":  # str.isdigit also admits "²" and "٣"
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            if j - i > MAX_INT_DIGITS:
-                raise FamilyParseError(f"integer of {j - i} digits, above the limit {MAX_INT_DIGITS}", i)
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-        elif ch in "(){},":
-            tokens.append((ch, ch, i))
-            i += 1
+    for match in _TOKEN.finditer(text):
+        name, digits, punct, other = match.groups()
+        i = match.start()
+        if name:
+            tokens.append(("name", name, i))
+        elif digits:
+            if len(digits) > MAX_INT_DIGITS:
+                raise FamilyParseError(f"integer of {len(digits)} digits, above the limit {MAX_INT_DIGITS}", i)
+            tokens.append(("int", int(digits), i))
+        elif punct:
+            tokens.append((punct, punct, i))
         else:
-            raise FamilyParseError(f"unexpected character {ch!r}", i)
+            raise FamilyParseError(f"unexpected character {other!r}", i)
     tokens.append(("end", None, len(text)))
     return tokens
 

@@ -310,6 +310,9 @@ def graph6_encode(g):
     return "".join(out)
 
 
+_G6_BITS = {63 + v: f"{v:06b}" for v in range(64)}  # a body byte as its six bits, for str.translate
+
+
 def graph6_decode(text):
     """Decode a single-byte-size graph6 string; strict about length, byte
     range, and zero padding bits."""
@@ -326,23 +329,17 @@ def graph6_decode(text):
     expected = (npairs + 5) // 6
     if len(body) != expected:
         raise ValueError(f"graph6 body has {len(body)} bytes, expected {expected}")
+    bits = body.translate(_G6_BITS)
+    if len(bits) != 6 * expected:  # a byte outside "?".."~" stays one character
+        bad = next(ch for ch in body if not "?" <= ch <= "~")
+        raise ValueError(f"graph6 byte {bad!r} out of range")
+    if "1" in bits[npairs:]:
+        raise ValueError("nonzero padding bits in graph6 string")
     rows = [0] * n
-    idx = 0
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    for ch in body:
-        val = ord(ch) - 63
-        if not 0 <= val < 64:
-            raise ValueError(f"graph6 byte {ch!r} out of range")
-        for k in range(5, -1, -1):
-            bit = (val >> k) & 1
-            if idx < npairs:
-                if bit:
-                    i, j = pairs[idx]
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-            elif bit:
-                raise ValueError("nonzero padding bits in graph6 string")
-            idx += 1
+    for j in range(1, n):  # column j holds the pairs (0,j), (1,j), ..., (j-1,j)
+        rows[j] = int(bits[j * (j - 1) // 2 : j * (j + 1) // 2][::-1], 2)
+        for i in iter_bits(rows[j]):
+            rows[i] |= 1 << j
     return Graph(n, rows)
 
 

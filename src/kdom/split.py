@@ -22,7 +22,9 @@ lists and dicts of them), and whatever else fn does in the child
 
 If either process raises, the child is killed and reaped and the whole
 batch runs again serially, so an error is exactly the serial one: the
-same exception, raised by the first failing item.
+same exception, raised by the first failing item.  If a pipe or the
+fork cannot be made, the pipes made are closed and the batch runs
+serially.
 
 SPLIT_MIN is set near the break-even of a level's gamma3 and kappa, the
 cheapest batch that splits.  On a 2-core x86-64 VM with Python 3.11
@@ -65,9 +67,18 @@ def split_map(fn, items):
         return [fn(x) for x in items]
     size = -(-len(items) // _TICKETS)
     chunks = -(-len(items) // size)
-    tickets, write = os.pipe()
-    os.write(write, bytes(range(chunks)))  # at most 256 bytes: never blocks
-    os.close(write)
+    fds = []
+    try:
+        fds += os.pipe()
+        os.write(fds[1], bytes(range(chunks)))  # at most 256 bytes: never blocks
+        os.close(fds.pop())
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:  # out of descriptors or processes
+        for fd in fds:
+            os.close(fd)
+        return [fn(x) for x in items]
+    tickets, read, write = fds
 
     def drain():
         """{chunk: its results} for each ticket this process draws."""
@@ -77,8 +88,6 @@ def split_map(fn, items):
             done[ticket[0]] = [fn(x) for x in items[start : start + size]]
         return done
 
-    read, write = os.pipe()
-    pid = os.fork()
     if pid == 0:
         status = 1
         try:

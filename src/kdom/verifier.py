@@ -53,15 +53,15 @@ class GraphRecord(namedtuple("GraphRecord", "g6 gamma3 kappa min_degree max_degr
         return {"g6": self.g6, "gamma3": self.gamma3, "kappa": self.kappa}
 
 
+def _record(g):
+    """GraphRecord's fields for g, as a plain tuple that a split batch can send back."""
+    return graph6_encode(g), gamma3(g).number, vertex_connectivity(g).kappa, min_degree(g), max_degree(g)
+
+
 @lru_cache(maxsize=None)
 def level_records(n):
     """Invariant table of level n, one GraphRecord per graph in connected_graphs(n) order."""
-    level = connected_graphs(n)
-    solved = split_map(lambda g: (gamma3(g).number, vertex_connectivity(g).kappa), level)
-    return tuple(
-        GraphRecord(graph6_encode(g), g3, kappa, min_degree(g), max_degree(g))
-        for g, (g3, kappa) in zip(level, solved)
-    )
+    return tuple(map(GraphRecord._make, split_map(_record, connected_graphs(n))))
 
 
 def horizon(target_offset):

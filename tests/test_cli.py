@@ -182,7 +182,15 @@ def test_audit(capsys):
 
 
 def test_usage_errors(capsys, tmp_path):
-    assert run(capsys, "invariants")[0] == 2  # no input graph
+    assert run(capsys, "invariants") == (2, "", "error: no input graph; pass --family, --graph6 or --file\n")
+    # an empty source is still a source: its reader names the fault
+    for flag, message in (
+        ("--graph6", "empty graph6 string"),
+        ("--family", "found end of input (at offset 0)"),
+        ("--file", "No such file or directory: ''"),
+    ):
+        code, out, err = run(capsys, "invariants", flag, "")
+        assert code == 2 and out == "" and message in err, flag
     assert run(capsys, "invariants", "--graph6", "!!!")[0] == 2
     assert run(capsys, "construct", "--family", "C2")[0] == 2
     assert run(capsys, "construct", "--family", "join(K1")[0] == 2

@@ -9,6 +9,8 @@ computes an item is not fixed: the tests that need one process or the
 other tell them apart by os.getpid().
 """
 
+import errno
+import hashlib
 import json
 import os
 import random
@@ -22,6 +24,7 @@ from kdom import Graph, cli, complete, enumeration, graph6_encode, split
 from kdom.cli import main
 from kdom.enumeration import connected_graphs
 from kdom.verifier import level_records
+from test_cli import GOLDEN_SWEEPS_SHA256
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="split_map forks only where os.fork exists")
 
@@ -204,6 +207,36 @@ def test_a_failing_item_raises_the_serial_error(monkeypatch, capsys, tmp_path, f
     assert_no_child_left()
     monkeypatch.setattr(split, "_cpus", lambda: 1)
     assert invariants(capsys, path) == (code, out, err)
+
+
+@pytest.mark.parametrize("failing", ["fork", "result pipe"])
+def test_a_failed_fork_or_pipe_runs_the_batch_serially(monkeypatch, capsys, failing):
+    """With no process or descriptor to spare, every pipe made is closed and the batch runs serially."""
+    real_pipe, calls = os.pipe, []
+
+    def pipe():
+        calls.append("pipe")
+        if failing == "result pipe" and len(calls) % 2 == 0:  # the ticket pipe is made first
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        return real_pipe()
+
+    def fork():
+        calls.append("fork")
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(split, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    fds = sorted(os.listdir("/dev/fd"))
+    assert split.split_map(abs, range(-500, 0)) == list(range(500, 0, -1))
+    assert calls == (["pipe", "pipe", "fork"] if failing == "fork" else ["pipe", "pipe"])
+    level_records.cache_clear()  # verify-bound solves its levels here, with each split failing
+    code = main(["verify-bound", "--max-n", "7", "--json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "") and len(calls) > 3
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SWEEPS_SHA256[("verify-bound",)]
+    assert sorted(os.listdir("/dev/fd")) == fds
+    assert_no_child_left()
 
 
 def test_small_batches_and_one_cpu_stay_in_process(serial):
