@@ -237,7 +237,7 @@ def _cmd_audit(args):
     failed = any(doc[key] for key in doc if key.endswith("_failures"))
     failed = failed or any(sweep["failures"] for sweep in doc["matching_sweeps"])
     # a failed fact exits 1 with or without --strict-paper; the Example 2.4
-    # note is unconditional, so --strict-paper always exits 1
+    # note, present while its claimed set fails, exits 1 under --strict-paper
     if failed or (args.strict_paper and doc["notes"]):
         return 1
     return 0

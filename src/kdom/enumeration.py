@@ -58,7 +58,7 @@ def _extend_level(parents, m):
             sub = subsets[col]
             rows = [base[v] | bit if (sub >> v) & 1 else base[v] for v in range(new)]
             rows.append(sub)
-            if is_lex_min(m, rows):
+            if is_lex_min(rows):
                 kept.append(tuple(rows))
         return kept
 

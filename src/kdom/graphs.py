@@ -6,6 +6,8 @@ objects: construction validates, instances never change, and equality is
 labeled bit equality.  Canonical forms live in kdom.isomorphism.
 """
 
+from itertools import repeat
+
 MAX_VERTICES = 62
 
 
@@ -27,7 +29,8 @@ def mask_of(vertices):
 
 def as_mask(n, subset):
     """Normalize a vertex subset (bitmask int or iterable) to a bitmask within 0..n-1."""
-    m = subset if isinstance(subset, int) else mask_of(subset)
+    # a vertex outside 0..n-1 packs as bit n, so the check below refuses it before a huge shift
+    m = subset if isinstance(subset, int) else mask_of(v if 0 <= v < n else n for v in subset)
     if m < 0 or m >> n:
         raise ValueError(f"vertex subset {subset!r} not contained in 0..{n - 1}")
     return m
@@ -115,14 +118,14 @@ def path(n):
     """P_n: vertices 0..n-1, edges {i, i+1}."""
     if n < 1:
         raise ValueError("path requires n >= 1")
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n):
     """C_n: P_n plus the closing edge {n-1, 0}."""
     if n < 3:
         raise ValueError("cycle requires n >= 3")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete(n):
@@ -130,14 +133,14 @@ def complete(n):
     if n < 0:
         raise ValueError("complete requires n >= 0")
     full = (1 << n) - 1
-    return Graph(n, tuple(full & ~(1 << v) for v in range(n)))
+    return Graph(n, (full & ~(1 << v) for v in range(n)))
 
 
 def complete_bipartite(m, n):
     """K_{m,n}: parts 0..m-1 and m..m+n-1, all cross edges."""
     if m < 0 or n < 0:
         raise ValueError("complete_bipartite requires nonnegative part sizes")
-    return join(Graph(m, [0] * m), Graph(n, [0] * n))
+    return join(Graph(m, repeat(0, m)), Graph(n, repeat(0, n)))
 
 
 def wheel(n):
@@ -151,7 +154,7 @@ def friendship(n):
     """F_n: n triangles sharing the hub vertex 0; 2n+1 vertices."""
     if n < 1:
         raise ValueError("friendship requires n >= 1")
-    return join(complete(1), Graph.from_edges(2 * n, [(2 * i, 2 * i + 1) for i in range(n)]))
+    return join(complete(1), Graph.from_edges(2 * n, ((2 * i, 2 * i + 1) for i in range(n))))
 
 
 def complement(g):

@@ -11,11 +11,11 @@ them, and returns the first prefix whose last column is lower, or None
 when no labeling beats the identity one.  is_lex_min is that None, which
 is the test the orderly enumeration needs.  canonical_form descends with
 the same search: while a prefix beats the current labeling, relabel (the
-prefix first, the other vertices after it in ascending order) and search
-again.  The columns before the prefix's last position tie and its last
-column is lower, so every step strictly lowers the graph6 string whatever
-the completion; the loop ends, and it ends at a labeling the search
-certifies lex-min.
+prefix first, the other vertices after it in their current order) and
+search again.  The columns before the prefix's last position tie and its
+last column is lower, so every step strictly lowers the graph6 string
+whatever the completion; the loop ends, and it ends at a labeling the
+search certifies lex-min.
 
 Each node of the search works on bitmasks.  The identity labeling's
 column at position d is bits 0..d-1 of adj[d], and a node holding the
@@ -39,7 +39,7 @@ the point; practical partition-refinement tools are out of scope.
 
 from collections import namedtuple
 
-from .graphs import Graph, graph6_encode
+from .graphs import Graph, graph6_encode, iter_bits, mask_of
 
 MAX_CANON_VERTICES = 14
 
@@ -52,12 +52,13 @@ class CanonicalForm(namedtuple("CanonicalForm", "canon_graph6 relabeling")):
     __slots__ = ()
 
 
-def _smaller_prefix(n, adj):
+def _smaller_prefix(adj):
     """First placement prefix whose columns beat the identity labeling's, or None.
 
     adj holds the adjacency rows.  The prefix lists vertices by position;
     its columns tie the identity labeling's except the last, which is lower.
     """
+    n = len(adj)
     if n <= 1:
         return None
     twins = [0] * n  # twins[j]: the i < j with the same neighbours as j apart from i and j
@@ -106,21 +107,9 @@ def _smaller_prefix(n, adj):
     return None if found is _TIED_LEAF else found
 
 
-def is_lex_min(n, adj):
+def is_lex_min(adj):
     """True when the identity labeling of adjacency rows adj is the canonical one."""
-    return _smaller_prefix(n, adj) is None
-
-
-def _relabeled_rows(adj, relabeling):
-    rows = [0] * len(adj)
-    for v, row in enumerate(adj):
-        new = 0
-        while row:
-            low = row & -row
-            new |= 1 << relabeling[low.bit_length() - 1]
-            row ^= low
-        rows[relabeling[v]] = new
-    return rows
+    return _smaller_prefix(adj) is None
 
 
 def canonical_form(g):
@@ -128,17 +117,15 @@ def canonical_form(g):
     n = g.n
     if n > MAX_CANON_VERTICES:
         raise ValueError(f"canonical_form guard exceeded: n={n} > {MAX_CANON_VERTICES}")
-    adj = list(g.adj)
-    relabeling = tuple(range(n))
-    while (prefix := _smaller_prefix(n, adj)) is not None:
+    order = list(range(n))  # the input vertex at each position
+    while True:
+        position = sorted(range(n), key=order.__getitem__)  # input vertex -> position
+        adj = [mask_of(position[u] for u in iter_bits(g.adj[v])) for v in order]
+        prefix = _smaller_prefix(adj)
+        if prefix is None:
+            return CanonicalForm(graph6_encode(Graph(n, adj)), tuple(position))
         placed = set(prefix)
-        order = prefix + [v for v in range(n) if v not in placed]
-        step = [0] * n
-        for pos, v in enumerate(order):
-            step[v] = pos
-        adj = _relabeled_rows(adj, step)
-        relabeling = tuple(step[r] for r in relabeling)
-    return CanonicalForm(graph6_encode(Graph(n, adj)), relabeling)
+        order = [order[p] for p in prefix] + [v for p, v in enumerate(order) if p not in placed]
 
 
 def canonical_graph6(g):

@@ -35,6 +35,12 @@ def naive_min_dominating(g, k, variant):
     return best[0][0], best[1]
 
 
+def random_graph(n, rng, p=0.5):
+    """G(n, p): each pair an edge with probability p, drawn from rng in combinations order."""
+    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+    return Graph.from_edges(n, edges)
+
+
 def brute_min_graph6(g):
     """Minimum graph6 string over every vertex permutation."""
     edges = g.edges()

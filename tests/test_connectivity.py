@@ -20,7 +20,7 @@ from kdom import (
 )
 from kdom.connectivity import CutResult, vertex_connectivity
 
-from oracles import _connected_after_removal, brute_force_connectivity, brute_force_cut
+from oracles import _connected_after_removal, brute_force_connectivity, brute_force_cut, random_graph
 
 
 # SHA-256 of repr((kappa, cut, separated)) over connected_graphs(3..8) and
@@ -36,11 +36,6 @@ LARGE_FAMILIES = (
     "K{31,31}",
     "join(C31,C31)",
 )
-
-
-def random_graph(n, rng, p=0.5):
-    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-    return Graph.from_edges(n, edges)
 
 
 def kappa_corpus():

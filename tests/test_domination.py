@@ -8,15 +8,10 @@ from kdom import Graph, complete, complete_bipartite, cycle, disjoint_union, fri
 from kdom.domination import VARIANTS, DominationResult, gamma3, gamma_k, is_k_dominating, is_k_tuple_dominating
 from kdom.enumeration import connected_graphs
 
-from oracles import naive_min_dominating
+from oracles import naive_min_dominating, random_graph
 
 G1 = Graph.from_edges(6, cycle(6).edges() + [(0, 3), (1, 4), (2, 5)])
 G2 = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (2, 5), (3, 5), (4, 5), (1, 4)])
-
-
-def random_graph(n, rng, p=0.5):
-    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-    return Graph.from_edges(n, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -25,12 +26,10 @@ from kdom import (
     remove_matching,
     wheel,
 )
+from kdom.domination import is_k_dominating
 from kdom.graphs import MAX_VERTICES, component
 
-
-def random_graph(n, rng, p=0.5):
-    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-    return Graph.from_edges(n, edges)
+from oracles import random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +139,31 @@ def test_families_match_their_definitions_up_to_the_cap():
     for build, args in ((wheel, (63,)), (friendship, (31,)), (complete_bipartite, (40, 23))):
         with pytest.raises(ValueError):
             build(*args)
+
+
+# each size takes 8-123 MB when the rows, the edges or a vertex's bit are built before the check
+OVERSIZED_CALLS = {
+    "path(10**6)": "vertex count 1000000 outside 0..62",
+    "cycle(10**6)": "vertex count 1000000 outside 0..62",
+    "wheel(10**6)": "vertex count 999999 outside 0..62",
+    "friendship(5 * 10**5)": "vertex count 1000000 outside 0..62",
+    "complete_bipartite(10**6, 1)": "vertex count 1000000 outside 0..62",
+    "complete(20000)": "vertex count 20000 outside 0..62",
+    "is_k_dominating(cycle(5), [10**8], 3)": "vertex subset [100000000] not contained in 0..4",
+    "is_k_dominating(cycle(5), [-1], 3)": "vertex subset [-1] not contained in 0..4",
+}
+
+
+@pytest.mark.parametrize("call", OVERSIZED_CALLS)
+def test_oversized_input_is_refused_before_it_is_built(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(OVERSIZED_CALLS[call])):
+            eval(call)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_complement_involution():
