@@ -181,12 +181,12 @@ def test_audit(capsys):
     assert code == 1  # the Example 2.4 S2 note counts as a verbatim discrepancy
 
 
-
 def test_audit_strict_paper_exits_0_when_the_example_claim_holds(capsys, monkeypatch):
     monkeypatch.setattr("kdom.verifier.is_k_dominating", lambda g, s, k: True)
     code, out, _ = run(capsys, "audit", "--max-n", "3", "--strict-paper", "--json")
     assert code == 0
     assert json.loads(out)["notes"] == []
+
 
 def test_usage_errors(capsys, tmp_path):
     assert run(capsys, "invariants") == (2, "", "error: no input graph; pass --family, --graph6 or --file\n")
