@@ -39,7 +39,7 @@ the point; practical partition-refinement tools are out of scope.
 
 from collections import namedtuple
 
-from .graphs import Graph, graph6_encode, iter_bits, mask_of
+from .graphs import Graph, graph6_encode
 
 MAX_CANON_VERTICES = 14
 
@@ -120,7 +120,14 @@ def canonical_form(g):
     order = list(range(n))  # the input vertex at each position
     while True:
         position = sorted(range(n), key=order.__getitem__)  # input vertex -> position
-        adj = [mask_of(position[u] for u in iter_bits(g.adj[v])) for v in order]
+        adj = []
+        for v in order:
+            row, relabeled = g.adj[v], 0
+            while row:
+                low = row & -row
+                relabeled |= 1 << position[low.bit_length() - 1]
+                row ^= low
+            adj.append(relabeled)
         prefix = _smaller_prefix(adj)
         if prefix is None:
             return CanonicalForm(graph6_encode(Graph(n, adj)), tuple(position))

@@ -23,9 +23,49 @@ Let delta be the minimum degree.  If delta >= 2, any n-delta+2 vertices
 3-dominate (an outside vertex misses at most n-1-delta of them), so
 gamma3 <= n-delta+2, and kappa <= delta.  If delta <= 1, kappa <= 1 and
 gamma3 <= n.  So a graph with gamma3+kappa = 2n-t has n <= t+2, and
-characterize() (check_theorem() too) solves only the levels up to t+2,
-reporting higher ones empty unbuilt; verify_bound() and the audit stay
-exhaustive as the independent checks.
+characterize() (check_theorem() too) reports the levels above t+2 empty
+unbuilt; verify_bound() and the audit stay exhaustive as the independent
+checks.
+
+The class n+2: a connected graph with n >= 3 has gamma3+kappa = n+2
+exactly when it is C_n, K_n or, for even n, K_n minus a perfect matching.
+These attain it: C_n has gamma3 = n and kappa = 2; K_n has gamma3 = 3
+and kappa = n-1; K_n - PM has gamma3 = 4 (C_4 at n = 4, case D = 1
+below for n >= 6) and kappa = n-2: the parts a cut leaves are joined by
+no edge and each vertex has one non-neighbour, so they are the two ends
+of one removed edge.
+Conversely, let H be the complement of a graph attaining n+2.
+- delta <= 1: the sum is at most n+1 by the lemma.
+- delta = 2: equality needs gamma3 = n, and gamma3 = n iff max degree
+  <= 2 (a vertex of degree >= 3 can leave V).  So the graph is C_n.
+- delta >= 3: equality needs kappa = delta and gamma3 = n-delta+2.  A
+  superset of a 3-dominating set 3-dominates, so gamma3 <= n-delta+1 iff
+  the complement V-T of some (delta-1)-set T 3-dominates.  A vertex of
+  degree > delta in T keeps >= 3 neighbours outside T; one of degree delta
+  (H-degree D = n-1-delta, the maximum) does iff it has an H-neighbour
+  in T.  Call T working when it has delta-1 = n-2-D >= 2 vertices and
+  each of its vertices of H-degree D has an H-neighbour in T.
+  - D = 0: the graph is K_n.
+  - D = 1: H is a matching M, and a working T holds the partner of each
+    matched vertex in it.  If M is perfect, T is a union of pairs, of
+    even size, but n-3 is odd: none works, so gamma3 = 4 and the graph is
+    K_n - PM.  Otherwise V minus one pair and one unmatched vertex works.
+  - D >= 2: a working T always exists, so the graph falls short.  Take
+    whole H-components while they fit; if r >= 2 vertices are missing,
+    add a connected part of r vertices (a spanning tree cut down by its
+    leaves) of the next component.  A connected part of >= 2 vertices
+    gives each of its vertices an H-neighbour, and a vertex of H-degree
+    < D (an H-isolated one too) needs none.  If one vertex is missing,
+    add a vertex of H-degree < D from outside T.  If there is none, the
+    next component has >= 2 vertices, so an H-edge: add it, and drop a
+    vertex that is not a cut vertex from a whole component taken (T has
+    delta-2 >= 1 vertices so far).  What remains of that component is
+    empty, one vertex of H-degree 1 < D, or connected with >= 2
+    vertices.
+So the top level n = t+2 of a characterization is this class:
+top_records(n) builds its graphs, keys them by canonical form (C_3 = K_3,
+C_4 = K_4 - PM) and solves them, and characterize() reads level_records
+only below t+2.
 """
 
 import math
@@ -36,7 +76,8 @@ from .catalog import DiscrepancyNote, THEOREM_OFFSETS, theorem_catalog
 from .connectivity import vertex_connectivity
 from .domination import gamma3, gamma_k, is_k_dominating
 from .enumeration import MAX_CEILING, check_guard, connected_graphs
-from .graphs import Graph, complete, graph6_encode, max_degree, min_degree, remove_matching
+from .graphs import Graph, complete, cycle, graph6_decode, graph6_encode, max_degree, min_degree, remove_matching
+from .isomorphism import canonical_form
 from .split import split_map
 
 DEFAULT_N_MAX = 8
@@ -63,6 +104,16 @@ def _record(g):
 def level_records(n):
     """Invariant table of level n, one GraphRecord per graph in connected_graphs(n) order."""
     return tuple(map(GraphRecord._make, split_map(_record, connected_graphs(n))))
+
+
+@lru_cache(maxsize=None)
+def top_records(n):
+    """The records of level n with gamma3+kappa = n+2, the proved class, in g6 order."""
+    graphs = [cycle(n), complete(n)]
+    if n % 2 == 0:
+        graphs.append(remove_matching(complete(n), [(i, i + 1) for i in range(0, n, 2)]))
+    canon = sorted({canonical_form(g).canon_graph6 for g in graphs})  # C_3 = K_3 and C_4 = K_4 - PM
+    return tuple(GraphRecord._make(_record(graph6_decode(g6))) for g6 in canon)
 
 
 def horizon(target_offset):
@@ -106,17 +157,14 @@ def characterize(target_offset, n_max=DEFAULT_N_MAX):
     offsets = THEOREM_OFFSETS.values()
     if target_offset not in offsets:
         raise ValueError(f"target_offset must be in {min(offsets)}..{max(offsets)}")
-    return {
-        "target_offset": target_offset,
-        "n_max": n_max,
-        "levels": [
-            {
-                "n": n,
-                "extremal": [r.to_jsonable() for r in recs if r.total == 2 * n - target_offset],
-            }
-            for n, recs in _levels(n_max, horizon(target_offset))
-        ],
-    }
+    top = horizon(target_offset)
+    levels = []
+    for n, recs in _levels(n_max, top - 1):
+        if n == top:  # the class n+2, every graph of which attains 2n - target_offset here
+            recs = top_records(n)
+        extremal = [r.to_jsonable() for r in recs if r.total == 2 * n - target_offset]
+        levels.append({"n": n, "extremal": extremal})
+    return {"target_offset": target_offset, "n_max": n_max, "levels": levels}
 
 
 def check_theorem(theorem, n_max=DEFAULT_N_MAX):
@@ -200,15 +248,17 @@ def audit_small_theorems(n_max=7):
         sweeps.append({"n": n, "matchings": count, "failures": failures})
 
     g2 = Graph.from_edges(6, _G2_EDGES)
+    g2_gamma3 = gamma3(g2)
     claim_holds = is_k_dominating(g2, _G2_CLAIMED_SET, 3)
     notes = []
     if not claim_holds:
+        witness = ",".join(f"v{v + 1}" for v in g2_gamma3.witness)
         note = DiscrepancyNote(
             "Example-2.4-S2",
             "2.4",
             "label-mismatch",
             "the claimed 3-dominating set {v3,v4,v5,v6} of G2 leaves v1 with only two "
-            "dominators; gamma3(G2) = 4 still holds (witness {v2,v3,v4,v5})",
+            f"dominators; gamma3(G2) = {g2_gamma3.number} still holds (witness {{{witness}}})",
         )
         notes.append(note.to_jsonable())
     return {
@@ -220,7 +270,7 @@ def audit_small_theorems(n_max=7):
         "gamma_kappa_bound_failures": gk_fail,
         "matching_sweeps": sweeps,
         "example_g1_gamma3": gamma3(Graph.from_edges(6, _G1_EDGES)).number,
-        "example_g2_gamma3": gamma3(g2).number,
+        "example_g2_gamma3": g2_gamma3.number,
         "example_g2_claim_holds": claim_holds,
         "notes": notes,
     }

@@ -21,6 +21,7 @@ from kdom.verifier import (
     check_theorem,
     horizon,
     level_records,
+    top_records,
     verify_bound,
 )
 
@@ -84,6 +85,12 @@ def test_horizon_lemma_bound_is_attained_and_never_exceeded():
         assert max(rec.total for rec in level_records(n)) == n + 2, n
 
 
+def test_the_class_n_plus_2_is_the_top_of_each_level():
+    # the proof in the verifier docstring, checked against the enumerated levels
+    for n in range(3, 9):
+        assert [r for r in level_records(n) if r.total == n + 2] == list(top_records(n)), n
+
+
 def test_check_theorem_solves_only_the_levels_below_the_horizon(monkeypatch, capsys):
     solved = []
 
@@ -92,7 +99,8 @@ def test_check_theorem_solves_only_the_levels_below_the_horizon(monkeypatch, cap
         return level_records(n)
 
     monkeypatch.setattr(kdom.verifier, "level_records", counting)
-    for theorem, levels in (("3.1", [3]), ("3.4", [3, 4, 5, 6])):
+    # level t + 2 is the proved class n + 2, built by top_records without the level
+    for theorem, levels in (("3.1", []), ("3.4", [3, 4, 5])):
         solved.clear()
         assert main(["check-theorem", theorem, "--max-n", "8", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
