@@ -8,7 +8,7 @@ import importlib
 
 _NAMES = {  # module: the public names it defines
     "catalog": "CatalogEntry DiscrepancyNote checked_catalog",
-    "connectivity": "CutResult vertex_connectivity",
+    "connectivity": "CutResult kappa vertex_connectivity",
     "domination": "DominationResult gamma3 gamma_k is_k_dominating is_k_tuple_dominating",
     "enumeration": "connected_graphs",
     "families": "FamilyParseError build_family",

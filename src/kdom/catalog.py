@@ -16,7 +16,7 @@ misses its target.  Nothing is silently corrected.
 from collections import namedtuple
 from functools import lru_cache
 
-from .connectivity import vertex_connectivity
+from .connectivity import kappa
 from .domination import gamma3
 from .families import build_family
 from .graphs import Graph, is_connected
@@ -166,16 +166,16 @@ def theorem_catalog(theorem):
         g = build_family(recipe) if isinstance(recipe, str) else Graph.from_edges(*recipe)
         if not is_connected(g):
             raise AssertionError(f"catalog entry {name} built a disconnected graph")
-        g3, kappa = gamma3(g).number, vertex_connectivity(g).kappa
-        entries.append(CatalogEntry(name, theorem, source, g, canonical_graph6(g), g3, kappa))
+        g3, k = gamma3(g).number, kappa(g)
+        entries.append(CatalogEntry(name, theorem, source, g, canonical_graph6(g), g3, k))
         target = 2 * g.n - offset
-        if g3 + kappa != target:
+        if g3 + k != target:
             notes.append(
                 DiscrepancyNote(
                     name,
                     theorem,
                     "fails-target",
-                    f"gamma3+kappa = {g3}+{kappa} = {g3 + kappa}, "
+                    f"gamma3+kappa = {g3}+{k} = {g3 + k}, "
                     f"but 2n-{offset} = {target} at n={g.n}",
                 )
             )

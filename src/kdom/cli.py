@@ -48,7 +48,7 @@ def _load_graphs(args):
     if args.graph6 is not None:
         out.append(graph6_decode(args.graph6))
     if args.file is not None:
-        with open(args.file, encoding="utf-8") as handle:
+        with open(args.file, encoding="utf-8-sig") as handle:
             text = handle.read()
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:

@@ -9,7 +9,7 @@ SIAM J. Comput. 4, 1975) fits in bitmasks beside g.adj.  It starts from
 the paths s-x-t through the common neighbours x and augments along paths
 found by a BFS whose layers alternate between out-nodes and in-nodes.
 
-kappa itself comes from Esfahanian and Hakimi (*On computing the
+kappa(g) comes from Esfahanian and Hakimi (*On computing the
 connectivity of graphs and digraphs*, Networks 14, 1984).  Take a vertex
 v of minimum degree and a minimum cut S.  If v is outside S, some vertex
 u of another component of G - S is not adjacent to v, so
@@ -18,23 +18,27 @@ of G - S (otherwise S - v would still separate), so two non-adjacent
 neighbours x, y of v have kappa(x, y) <= |S|.  Hence flows from v to its
 non-neighbours and between non-adjacent pairs of N(v) suffice, each
 stopped once it reaches the best value so far (at most the minimum
-degree).
+degree).  Disconnected input, the empty graph included, is 0; a graph
+with no such pair (K_n) is its minimum degree, n-1.  The sweeps read
+only this value.
 
-The reported certificate is the first non-adjacent pair in lexicographic
-order that attains kappa, found by flows stopped at kappa + 1.  The one
-flow that ends below that bound is a maximum flow, and its failed last
-search has marked the residual set reachable from s; the cut is the
-vertices whose v_in it reached and whose v_out it did not.  The cut
-depends only on the graph and the pair: the value and that set are the
-same for every maximum flow (the source side of the minimum cut closest
-to s), whatever the starting paths and the order of augmentations.  Each
-augmenting path is walked back from t_in, taking the lowest residual
-predecessor in the layer below and updating the flow on the way; an
-update touches only the arc between two later layers, so every
-predecessor picked afterwards still has its residual arc.  The
-Esfahanian-Hakimi flows only decide the value; the scan runs its own
-flow for each pair it visits.  Complete graphs are n-1 by convention,
-disconnected input is 0.
+vertex_connectivity(g) adds a certificate: the first non-adjacent pair
+in lexicographic order that attains kappa, found by flows stopped at
+kappa + 1.  The one flow that ends below that bound is a maximum flow,
+and its failed last search has marked the residual set reachable from s;
+the cut is the vertices whose v_in it reached and whose v_out it did
+not.  The cut depends only on the graph and the pair: the value and that
+set are the same for every maximum flow (the source side of the minimum
+cut closest to s), whatever the starting paths and the order of
+augmentations.  Each augmenting path is walked back from t_in, taking
+the lowest residual predecessor in the layer below and updating the flow
+on the way; an update touches only the arc between two later layers, so
+every predecessor picked afterwards still has its residual arc.  The
+scan runs its own flow on each pair it visits and needs no special case:
+on disconnected input its first pair of value 0 is (0, the lowest vertex
+outside 0's component), whose failed search marks the empty cut; K_0,
+K_1 and K_n have no non-adjacent pair and get (kappa, (), None); and
+otherwise the lemma above puts a pair that attains kappa among them.
 """
 
 from collections import namedtuple
@@ -113,30 +117,30 @@ def _low(mask):
     return (mask & -mask).bit_length() - 1
 
 
-def vertex_connectivity(g):
-    """Exact kappa(g) with a certifying minimum vertex cut."""
+def kappa(g):
+    """Exact vertex connectivity of g, by the Esfahanian-Hakimi flows."""
     n = g.n
-    if n == 0:
-        return CutResult(0, (), None)
-    comp = component(g, 0)
-    if comp != (1 << n) - 1:
-        other = next(v for v in range(n) if not (comp >> v) & 1)
-        return CutResult(0, (), (0, other))
-    if g.edge_count() == n * (n - 1) // 2:
-        return CutResult(n - 1, (), None)
+    if n == 0 or component(g, 0) != (1 << n) - 1:
+        return 0
     degs = [row.bit_count() for row in g.adj]
-    kappa = min(degs)
-    v = degs.index(kappa)
+    best = min(degs)
+    v = degs.index(best)
     pairs = [(v, u) for u in range(n) if u != v and not g.adj[v] >> u & 1]
     pairs += [(x, y) for x, y in combinations(iter_bits(g.adj[v]), 2) if not g.adj[x] >> y & 1]
     for s, t in pairs:
-        if kappa == 1:
+        if best == 1:
             break  # g is connected, so kappa >= 1
-        kappa = min(kappa, _max_flow_vertex_cut(g.adj, s, t, kappa)[0])
-    for s, t in combinations(range(n), 2):
+        best = min(best, _max_flow_vertex_cut(g.adj, s, t, best)[0])
+    return best
+
+
+def vertex_connectivity(g):
+    """kappa(g) with a certifying minimum vertex cut."""
+    k = kappa(g)
+    for s, t in combinations(range(g.n), 2):
         if g.adj[s] >> t & 1:
             continue
-        value, cut = _max_flow_vertex_cut(g.adj, s, t, kappa + 1)
-        if value == kappa:
-            return CutResult(kappa, cut, (s, t))
-    raise AssertionError("no pair attains the computed kappa")
+        value, cut = _max_flow_vertex_cut(g.adj, s, t, k + 1)
+        if value == k:
+            return CutResult(k, cut, (s, t))
+    return CutResult(k, (), None)

@@ -73,7 +73,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .catalog import DiscrepancyNote, THEOREM_OFFSETS, theorem_catalog
-from .connectivity import vertex_connectivity
+from .connectivity import kappa
 from .domination import gamma3, gamma_k, is_k_dominating
 from .enumeration import MAX_CEILING, check_guard, connected_graphs
 from .graphs import Graph, complete, cycle, graph6_decode, graph6_encode, max_degree, min_degree, remove_matching
@@ -97,7 +97,7 @@ class GraphRecord(namedtuple("GraphRecord", "g6 gamma3 kappa min_degree max_degr
 
 def _record(g):
     """GraphRecord's fields for g, as a plain tuple that a split batch can send back."""
-    return graph6_encode(g), gamma3(g).number, vertex_connectivity(g).kappa, min_degree(g), max_degree(g)
+    return graph6_encode(g), gamma3(g).number, kappa(g), min_degree(g), max_degree(g)
 
 
 @lru_cache(maxsize=None)

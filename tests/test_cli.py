@@ -48,6 +48,17 @@ def test_invariants_graph6_and_file(capsys, tmp_path):
     assert code == 0 and "gamma3: 3" in out
 
 
+def test_invariants_file_ignores_a_byte_order_mark(capsys, tmp_path):
+    for name, text in (("g.edges", "4\n0 1\n1 2\n2 3\n"), ("graphs.g6", "C~\nBw\n")):
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        expected = run(capsys, "invariants", "--file", str(plain))
+        assert expected[0] == 0
+        assert run(capsys, "invariants", "--file", str(marked)) == expected
+
+
 def test_invariants_long_cycle_and_path(capsys):
     # the counting bound keeps the largest cycle and path the guards admit to seconds
     for family, kappa in (("C62", 2), ("P62", 1)):

@@ -18,7 +18,7 @@ from kdom import (
     path,
     wheel,
 )
-from kdom.connectivity import CutResult, vertex_connectivity
+from kdom.connectivity import CutResult, kappa, vertex_connectivity
 
 from oracles import _connected_after_removal, brute_force_connectivity, brute_force_cut, random_graph
 
@@ -79,6 +79,15 @@ def test_disconnected_input():
     assert vertex_connectivity(Graph(0, ())).kappa == 0
 
 
+def test_kappa_without_the_certificate_special_cases():
+    # empty, complete and disconnected inputs: the scan finds no non-adjacent pair, or one of value 0
+    texts = ("K1", "K2", "K62", "union(C4,C4)", "union(C31,C31)")
+    graphs = [Graph(0, ()), Graph.from_edges(4, [(1, 2), (2, 3)])] + [build_family(text) for text in texts]
+    assert [kappa(g) for g in graphs] == [0, 0, 0, 1, 61, 0, 0]
+    for g in graphs:
+        assert kappa(g) == vertex_connectivity(g).kappa
+
+
 def test_brute_force_values():
     assert brute_force_connectivity(cycle(6)) == 2
     assert brute_force_connectivity(complete(4)) == 3
@@ -106,6 +115,7 @@ def test_flow_equals_brute_force_random():
     for _ in range(120):
         g = random_graph(rng.randint(1, 7), rng, p=rng.random())
         assert vertex_connectivity(g).kappa == brute_force_connectivity(g)
+        assert kappa(g) == brute_force_connectivity(g)
 
 
 def test_cut_matches_brute_force_certificate():
@@ -118,7 +128,9 @@ def test_cut_matches_brute_force_certificate():
     # and 2 read 4: only the flows between neighbours of 0 find 3
     graphs.append(Graph.from_edges(7, complete_bipartite(3, 4).edges() + [(3, 4), (5, 6)]))
     for g in graphs:
-        assert vertex_connectivity(g) == CutResult(*brute_force_cut(g)), g.edges()
+        expected = CutResult(*brute_force_cut(g))
+        assert vertex_connectivity(g) == expected, g.edges()
+        assert kappa(g) == expected.kappa, g.edges()
 
 
 def test_kappa_at_most_min_degree():

@@ -208,7 +208,7 @@ def test_audit_reads_the_level_table(monkeypatch):
     def unexpected(g):
         raise AssertionError("the audit must read this invariant from level_records")
 
-    for name in ("vertex_connectivity", "min_degree", "max_degree"):
+    for name in ("kappa", "min_degree", "max_degree"):
         monkeypatch.setattr(kdom.verifier, name, unexpected)
     calls = []
 
