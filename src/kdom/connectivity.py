@@ -18,9 +18,8 @@ of G - S (otherwise S - v would still separate), so two non-adjacent
 neighbours x, y of v have kappa(x, y) <= |S|.  Hence flows from v to its
 non-neighbours and between non-adjacent pairs of N(v) suffice, each
 stopped once it reaches the best value so far (at most the minimum
-degree).  Disconnected input, the empty graph included, is 0; a graph
-with no such pair (K_n) is its minimum degree, n-1.  The sweeps read
-only this value.
+degree).  Empty or disconnected input is 0, and K_n, with no such
+pair, is n-1.  The sweeps read only this value.
 
 vertex_connectivity(g) adds a certificate: the first non-adjacent pair
 in lexicographic order that attains kappa, found by flows stopped at
