@@ -6,7 +6,7 @@ check-theorem, verify-bound, audit.  Output is UTF-8 text or JSON
 0 success, 1 discrepancy findings under --strict-paper, a violation of
 the bound in verify-bound or any non-empty failure list of audit,
 2 usage errors (bad input files, malformed graph6, guard violations,
-an unknown theorem or offset).
+an unknown theorem or an offset below 1).
 
 Importing this module loads only the layers every invariants call runs
 (graphs, domination, connectivity, split); each command imports the

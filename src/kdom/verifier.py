@@ -1,14 +1,15 @@
-"""Exhaustive verification of the bound and the five characterizations.
+"""Exhaustive verification of the bound and its characterizations.
 
 The enumerated connected graphs are the ground truth and the published lists
 are hypotheses under audit.  level_records(n), built once per process,
 tabulates g6, gamma3, kappa and min/max degree for each graph of level n,
 and every sweep filters it: characterize() takes the extremal sets
-gamma3+kappa = 2n-offset, check_theorem() diffs them against the catalog
-(confirmed / extra / missing, canonical-form keyed), verify_bound() checks
-gamma3+kappa <= 2n-1, and audit_small_theorems() checks gamma3=n iff
-max-degree<=2, 3<=gamma3<=n, kappa<=min-degree, the K_n minus matching
-values and gamma+kappa<=n (it computes gamma, which no other sweep reads).
+gamma3+kappa = 2n-t for every t >= 1, check_theorem() diffs the catalog's
+theorems 3.1..3.5 with them (confirmed / extra / missing, canonical-form
+keyed), verify_bound() checks gamma3+kappa <= 2n-1, and audit_small_theorems()
+checks gamma3=n iff max-degree<=2, 3<=gamma3<=n, kappa<=min-degree, the K_n
+minus matching values and gamma+kappa<=n (it computes gamma, which no other
+sweep reads).
 Every K_n - M with |M| = m is isomorphic to every other, so the matching
 sweep solves one per size m and reports a failure once per size, while
 its "matchings" count adds the n! / ((n-2m)! m! 2^m) labeled matchings.
@@ -24,8 +25,7 @@ Let delta be the minimum degree.  If delta >= 2, any n-delta+2 vertices
 gamma3 <= n-delta+2, and kappa <= delta.  If delta <= 1, kappa <= 1 and
 gamma3 <= n.  So a graph with gamma3+kappa = 2n-t has n <= t+2, and
 characterize() (check_theorem() too) reports the levels above t+2 empty
-unbuilt; verify_bound() and the audit stay exhaustive as the independent
-checks.
+unbuilt; verify_bound() and the audit, exhaustive, check it independently.
 
 The class n+2: a connected graph with n >= 3 has gamma3+kappa = n+2
 exactly when it is C_n, K_n or, for even n, K_n minus a perfect matching.
@@ -64,8 +64,8 @@ Conversely, let H be the complement of a graph attaining n+2.
     vertices.
 So the top level n = t+2 of a characterization is this class:
 top_records(n) builds its graphs, keys them by canonical form (C_3 = K_3,
-C_4 = K_4 - PM) and solves them, and characterize() reads level_records
-only below t+2.
+C_4 = K_4 - PM) and solves them, and _levels(n_max, t+2) gives
+characterize() level_records only below t+2, this class at t+2.
 """
 
 import math
@@ -75,7 +75,7 @@ from functools import lru_cache
 from .catalog import DiscrepancyNote, THEOREM_OFFSETS, theorem_catalog
 from .connectivity import kappa
 from .domination import gamma3, gamma_k, is_k_dominating
-from .enumeration import MAX_CEILING, check_guard, connected_graphs
+from .enumeration import check_guard, connected_graphs
 from .graphs import Graph, complete, cycle, graph6_decode, graph6_encode, max_degree, min_degree, remove_matching
 from .isomorphism import canonical_form
 from .split import split_map
@@ -121,14 +121,16 @@ def horizon(target_offset):
     return target_offset + 2
 
 
-def _levels(n_max, top=MAX_CEILING):
-    """(n, level_records(n)) pairs for 3 <= n <= n_max, with () unsolved for n > top.
+def _levels(n_max, top=None):
+    """(n, records) for 3 <= n <= n_max: level_records(n) below top, top_records(n) at it, () above.
 
-    The guard runs first, so a guarded or too small n_max is refused
-    before any level is built or solved.
+    top=None solves every level.  The guard runs first, so a guarded or too
+    small n_max is refused before any level is built or solved.
     """
     check_guard(n_max, least=_MIN_LEVEL)
-    return [(n, level_records(n) if n <= top else ()) for n in range(_MIN_LEVEL, n_max + 1)]
+    top = n_max + 1 if top is None else top
+    levels = range(_MIN_LEVEL, n_max + 1)
+    return [(n, level_records(n) if n < top else top_records(n) if n == top else ()) for n in levels]
 
 
 def verify_bound(n_max=DEFAULT_N_MAX):
@@ -154,14 +156,10 @@ def verify_bound(n_max=DEFAULT_N_MAX):
 
 def characterize(target_offset, n_max=DEFAULT_N_MAX):
     """Per-n extremal sets with gamma3+kappa = 2n - target_offset, canonical order."""
-    offsets = THEOREM_OFFSETS.values()
-    if target_offset not in offsets:
-        raise ValueError(f"target_offset must be in {min(offsets)}..{max(offsets)}")
-    top = horizon(target_offset)
+    if target_offset < 1:
+        raise ValueError("target_offset must be at least 1, since gamma3+kappa <= 2n-1")
     levels = []
-    for n, recs in _levels(n_max, top - 1):
-        if n == top:  # the class n+2, every graph of which attains 2n - target_offset here
-            recs = top_records(n)
+    for n, recs in _levels(n_max, horizon(target_offset)):
         extremal = [r.to_jsonable() for r in recs if r.total == 2 * n - target_offset]
         levels.append({"n": n, "extremal": extremal})
     return {"target_offset": target_offset, "n_max": n_max, "levels": levels}

@@ -35,6 +35,47 @@ def naive_min_dominating(g, k, variant):
     return best[0][0], best[1]
 
 
+def frontier_min_dominating(g, k, variant, order=None):
+    """naive_min_dominating's answer by dynamic programming over a vertex order.
+
+    The vertices are decided in order (default 0..n-1), in S or out.  The
+    frontier is the decided vertices with an undecided neighbour; each holds
+    (in S, dominators decided so far, capped at k), and a vertex leaves it
+    once its closed neighbourhood is decided, meeting its requirement then.
+    Each frontier state keeps its least (size, mask): every completion adds
+    the same set of later vertices to each partial set, disjoint from them,
+    so the order between partial sets is the order of their completions.
+    Time grows as (2(k+1))^width, so the order must keep the frontier narrow.
+    """
+    order = list(range(g.n)) if order is None else list(order)
+    nbrs = neighbor_sets(g)
+    pos = {v: i for i, v in enumerate(order)}
+    last = {v: max(pos[u] for u in nbrs[v] | {v}) for v in order}
+    closed = variant == "k-tuple"
+    front, states = [], {(): (0, 0)}  # state: one (in S, dominators) per frontier vertex
+    for i, v in enumerate(order):
+        new_front = [w for w in front + [v] if last[w] > i]
+        leaving = [w for w in front + [v] if last[w] == i]
+        nxt = {}
+        for state, (size, mask) in states.items():
+            before = dict(zip(front, state))
+            for chosen in (False, True):
+                own = sum(before[u][0] for u in nbrs[v] if u in before) + (chosen and closed)
+                facts = {w: (ins, min(k, cnt + (chosen and w in nbrs[v]))) for w, (ins, cnt) in before.items()}
+                facts[v] = (chosen, min(k, own))
+                if any(cnt < k and (closed or not ins) for ins, cnt in map(facts.get, leaving)):
+                    continue
+                key = tuple(facts[w] for w in new_front)
+                value = (size + chosen, mask | (chosen << v))
+                if key not in nxt or value < nxt[key]:
+                    nxt[key] = value
+        front, states = new_front, nxt
+    if () not in states:
+        return None
+    size, mask = states[()]
+    return size, tuple(v for v in range(g.n) if (mask >> v) & 1)
+
+
 def random_graph(n, rng, p=0.5):
     """G(n, p): each pair an edge with probability p, drawn from rng in combinations order."""
     edges = [e for e in combinations(range(n), 2) if rng.random() < p]

@@ -260,8 +260,8 @@ def test_unknown_theorem_or_offset_exits_2_before_any_level(monkeypatch, capsys)
     for max_n in ((), ("--max-n", "8")):
         code, out, err = run(capsys, "check-theorem", "3.9", *max_n)
         assert (code, out) == (2, "") and all(repr(theorem) in err for theorem in THEOREM_OFFSETS)
-        code, out, err = run(capsys, "characterize", "--offset", "9", *max_n)
-        assert (code, out, err) == (2, "", "error: target_offset must be in 1..5\n")
+        code, out, err = run(capsys, "characterize", "--offset", "0", *max_n)
+        assert (code, out, err) == (2, "", "error: target_offset must be at least 1, since gamma3+kappa <= 2n-1\n")
 
 
 def test_help_exits_zero():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -8,7 +9,7 @@ from kdom import Graph, complete, complete_bipartite, cycle, disjoint_union, fri
 from kdom.domination import VARIANTS, DominationResult, gamma3, gamma_k, is_k_dominating, is_k_tuple_dominating
 from kdom.enumeration import connected_graphs
 
-from oracles import naive_min_dominating, random_graph
+from oracles import frontier_min_dominating, naive_min_dominating, random_graph
 
 G1 = Graph.from_edges(6, cycle(6).edges() + [(0, 3), (1, 4), (2, 5)])
 G2 = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (2, 5), (3, 5), (4, 5), (1, 4)])
@@ -203,6 +204,27 @@ def test_oracle_equivalence_random():
                 assert not res.feasible
             else:
                 assert (res.number, res.witness) == expect, (g, k, variant)
+
+
+def test_frontier_oracle_on_families():
+    # the frontier dynamic program agrees with the subset scan on small
+    # graphs, then checks gamma_k's number and lex-min witness on families
+    # past the scan's reach, in orders that keep the frontier narrow
+    pairs = ((1, "k-domination"), (2, "k-domination"), (3, "k-domination"), (2, "k-tuple"), (3, "k-tuple"))
+    for g in (g for n in range(1, 6) for g in connected_graphs(n)):
+        for k, variant in pairs:
+            assert frontier_min_dominating(g, k, variant) == naive_min_dominating(g, k, variant)
+    c4 = cycle(4)
+    cases = [(cycle(n), None) for n in (20, 31, 40)] + [(path(n), None) for n in (20, 31, 40)]
+    cases += [(wheel(n), [n - 1, *range(n - 1)]) for n in (20, 31, 40)]  # hub first
+    cases += [(friendship(m), None) for m in (6, 10, 14)]
+    cases += [(reduce(disjoint_union, [c4] * m), None) for m in (2, 3, 5)]
+    checks = [(g, order, k, variant) for g, order in cases for k, variant in pairs]
+    checks += [(g, None, 3, "k-domination") for g in (cycle(62), path(62))]
+    for g, order, k, variant in checks:
+        res = gamma_k(g, k, variant)
+        want = (res.number, res.witness) if res.feasible else None
+        assert frontier_min_dominating(g, k, variant, order) == want, (g.n, k, variant)
 
 
 def test_search_golden_digest():

@@ -58,26 +58,47 @@ def test_characterize_offset3_includes_the_diamond():
     assert got[3] == [] and got[6] == []
 
 
-def test_characterize_rejects_bad_offsets():
+def test_characterize_rejects_bad_offsets(monkeypatch):
     import pytest
 
-    with pytest.raises(ValueError):
-        characterize(0, 5)
-    with pytest.raises(ValueError):
-        characterize(6, 5)
+    def unreachable(n):
+        raise AssertionError("a level was built for an offset below 1")
+
+    # Theorem 3.1's bound gamma3+kappa <= 2n-1 leaves no graph below offset 1
+    monkeypatch.setattr(kdom.verifier, "level_records", unreachable)
+    for offset in (0, -1):
+        with pytest.raises(ValueError, match="target_offset must be at least 1"):
+            characterize(offset, 5)
 
 
 def test_cut_characterize_equals_an_exhaustive_filter():
     # characterize solves only n <= offset + 2; every level must still agree
     # with the extremal set read off the full level table
-    for n_max in (7, 8):
-        for offset in range(1, 6):
+    for n_max in range(3, 9):
+        for offset in range(1, 9):
             doc = characterize(offset, n_max)
             assert [level["n"] for level in doc["levels"]] == list(range(3, n_max + 1))
             for level in doc["levels"]:
                 n = level["n"]
                 want = [r.to_jsonable() for r in level_records(n) if r.total == 2 * n - offset]
                 assert level["extremal"] == want, (offset, n_max, n)
+
+
+def test_offsets_6_and_7_are_diagonals_of_the_level_table(monkeypatch):
+    # ROADMAP's level table: offset t at n is the column j = n - t, so t = 6
+    # reads j = 0, 1, 2 and t = 7 reads j = -1, 0, 1 at n = 6, 7, 8
+    solved = []
+
+    def counting(n):
+        solved.append(n)
+        return level_records(n)
+
+    monkeypatch.setattr(kdom.verifier, "level_records", counting)
+    for offset, counts in ((6, [0, 0, 0, 75, 16, 3]), (7, [0, 0, 0, 22, 356, 19])):
+        solved.clear()
+        doc = characterize(offset, 8)
+        assert [len(level["extremal"]) for level in doc["levels"]] == counts, offset
+        assert solved == [n for n in range(3, 9) if n < horizon(offset)], offset
 
 
 def test_horizon_lemma_bound_is_attained_and_never_exceeded():
