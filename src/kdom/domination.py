@@ -32,6 +32,18 @@ a lower mask.  This is exact:
   or equals it and chosen >= the incumbent's mask: it holds only sets
   that are larger, or tie with a mask no lower.
 
+A disconnected input is solved one component at a time.  Each vertex's
+requirement reads only its own component, so a set is feasible iff its
+part in every component is, and the minimum is the sum of the
+components' minima; a minimum set's part in each component is minimum
+there.  The witness is the union W of the components' lex-min witnesses.
+Another minimum set S first differs from W, from the top bit, inside one
+component, where both parts are minimum and W's is the lower, so W < S.
+A component is searched with its vertices renumbered in ascending order,
+which keeps the numeric order of its sets.  The k-tuple feasibility check
+and the forced set are taken on the whole graph first, and a connected
+input is searched on the graph's own rows.
+
 The completion's size is bounded by counting, the residual form of
 gamma_k >= k*n / (Delta + k) (Fink and Jacobson, "n-Domination in
 graphs", 1985).  Let D be the sum of the deficient vertices' needs.  One
@@ -68,7 +80,7 @@ order depends only on the degrees, so it is sorted once per search.
 
 from collections import namedtuple
 
-from .graphs import as_mask, iter_bits, mask_of
+from .graphs import as_mask, component, iter_bits, mask_of
 
 VARIANTS = ("k-domination", "k-tuple")
 
@@ -187,14 +199,30 @@ def _search(rows, k, exempt, forced):
 
 
 def gamma_k(g, k, variant):
-    """Exact minimum k-dominating (or k-tuple dominating) set of g."""
+    """Exact minimum k-dominating (or k-tuple dominating) set of g, one search per component."""
     rows, exempt = _requirement(g, variant, k)
     if g.n == 0:
         raise ValueError("gamma_k of the empty graph is undefined")
     if not exempt and any(row.bit_count() < k for row in rows):
         return DominationResult(None, None, variant, k, feasible=False)
     forced = mask_of(v for v, row in enumerate(g.adj) if row.bit_count() < k)
-    size, mask = _search(rows, k, exempt, forced)
+    parts, left = [], (1 << g.n) - 1
+    while left:
+        parts.append(component(g, (left & -left).bit_length() - 1))
+        left ^= parts[-1]
+    if len(parts) == 1:  # connected: the graph's own rows
+        size, mask = _search(rows, k, exempt, forced)
+    else:
+        size = mask = 0
+        for part in parts:
+            verts = list(iter_bits(part))  # ascending, so renumbering keeps the order of masks
+
+            def local(m):
+                return mask_of(i for i, v in enumerate(verts) if (m >> v) & 1)
+
+            part_size, part_mask = _search([local(rows[v]) for v in verts], k, exempt, local(forced))
+            size += part_size
+            mask |= mask_of(verts[i] for i in iter_bits(part_mask))
     return DominationResult(size, tuple(iter_bits(mask)), variant, k)
 
 

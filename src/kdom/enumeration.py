@@ -75,7 +75,7 @@ def check_guard(n, allow_large=False, least=1):
     if n > DEFAULT_GUARD and not allow_large:
         raise ValueError(
             f"n={n} exceeds the default guard {DEFAULT_GUARD}; only `kdom enumerate "
-            f"--allow-large` or connected_graphs(n, allow_large=True) reach n={MAX_CEILING}"
+            f"--allow-large` or connected_graphs(n, allow_large=True) enumerate level {MAX_CEILING}"
         )
 
 

@@ -75,12 +75,11 @@ from functools import lru_cache
 from .catalog import DiscrepancyNote, THEOREM_OFFSETS, theorem_catalog
 from .connectivity import kappa
 from .domination import gamma3, gamma_k, is_k_dominating
-from .enumeration import check_guard, connected_graphs
+from .enumeration import DEFAULT_GUARD, check_guard, connected_graphs
 from .graphs import Graph, complete, cycle, graph6_decode, graph6_encode, max_degree, min_degree, remove_matching
 from .isomorphism import canonical_form
 from .split import split_map
 
-DEFAULT_N_MAX = 8
 _MIN_LEVEL = 3
 
 
@@ -124,16 +123,16 @@ def horizon(target_offset):
 def _levels(n_max, top=None):
     """(n, records) for 3 <= n <= n_max: level_records(n) below top, top_records(n) at it, () above.
 
-    top=None solves every level.  The guard runs first, so a guarded or too
-    small n_max is refused before any level is built or solved.
+    top=None solves every level.  The guard runs before any level is built, and
+    only the levels below top, the enumerated ones, must pass the default guard.
     """
-    check_guard(n_max, least=_MIN_LEVEL)
     top = n_max + 1 if top is None else top
+    check_guard(n_max, allow_large=top - 1 <= DEFAULT_GUARD, least=_MIN_LEVEL)
     levels = range(_MIN_LEVEL, n_max + 1)
     return [(n, level_records(n) if n < top else top_records(n) if n == top else ()) for n in levels]
 
 
-def verify_bound(n_max=DEFAULT_N_MAX):
+def verify_bound(n_max=DEFAULT_GUARD):
     """Check gamma3+kappa <= 2n-1 over all connected graphs, 3 <= n <= n_max."""
     violations = []  # must stay empty
     equality = []  # canonical g6 strings attaining 2n-1
@@ -154,7 +153,7 @@ def verify_bound(n_max=DEFAULT_N_MAX):
     }
 
 
-def characterize(target_offset, n_max=DEFAULT_N_MAX):
+def characterize(target_offset, n_max=DEFAULT_GUARD):
     """Per-n extremal sets with gamma3+kappa = 2n - target_offset, canonical order."""
     if target_offset < 1:
         raise ValueError("target_offset must be at least 1, since gamma3+kappa <= 2n-1")
@@ -165,7 +164,7 @@ def characterize(target_offset, n_max=DEFAULT_N_MAX):
     return {"target_offset": target_offset, "n_max": n_max, "levels": levels}
 
 
-def check_theorem(theorem, n_max=DEFAULT_N_MAX):
+def check_theorem(theorem, n_max=DEFAULT_GUARD):
     """Match one theorem's catalog entries against the computed extremal sets.
 
     confirmed: entry names matched by the computed set; extra: entries the

@@ -6,6 +6,7 @@ from itertools import combinations
 from kdom import Graph, complete, complete_bipartite, cycle, graph6_encode, remove_matching, wheel
 from kdom.catalog import THEOREM_OFFSETS, theorem_catalog
 from kdom.cli import main
+from kdom.enumeration import connected_graphs
 from kdom.isomorphism import canonical_graph6
 from kdom.verifier import GraphRecord, audit_small_theorems, characterize, check_theorem, level_records, verify_bound
 
@@ -71,6 +72,17 @@ def test_invariants_long_cycle_and_path(capsys):
         assert data["kappa"]["kappa"] == kappa
 
 
+def test_invariants_on_equal_components(capsys):
+    # 15 disjoint copies of C4, 60 vertices: each component is searched on its own
+    family = "union(C4," * 14 + "C4" + ")" * 14
+    code, out, _ = run(capsys, "invariants", "--family", family, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["n"] == 60
+    assert [data[key]["number"] for key in ("gamma", "gamma3", "double_domination")] == [30, 60, 45]
+    assert data["kappa"]["kappa"] == 0
+
+
 # SHA-256 of the text output of `construct --family 'C4(P2,2P3,P4,P3)'`
 # and of `enumerate --n 6`.
 GOLDEN_CONSTRUCT_SHA256 = "fa75224b3d6ba3bff36553ac2e1eb87124983a596c341c439df14d318efefa1e"
@@ -104,24 +116,56 @@ def test_enumerate_guards(capsys, monkeypatch):
     code, _, err = run(capsys, "enumerate", "--n", "10", "--allow-large")
     assert code == 2 and "hard ceiling 9" in err
 
-    # the sweeps refuse a guarded --max-n before any level is solved
     def unreachable(n):
         raise AssertionError(f"level {n} solved before the guard")
 
-    monkeypatch.setattr("kdom.verifier.level_records", unreachable)
-    for command in (
-        ("verify-bound",),
-        ("audit",),
-        ("check-theorem", "3.3"),
-        ("characterize", "--offset", "3"),
-    ):
-        code, _, err = run(capsys, *command, "--max-n", "9")
-        # the sweeps have no --allow-large; the message must not suggest one
-        assert code == 2 and "kdom enumerate --allow-large" in err, command
+    sweeps = (("verify-bound",), ("audit",), ("check-theorem", "3.3"), ("characterize", "--offset", "3"))
+    with monkeypatch.context() as patch:
+        patch.setattr("kdom.verifier.level_records", unreachable)
+        # a sweep that would enumerate level 9 is refused before any level is solved
+        for command in (("verify-bound",), ("audit",), ("characterize", "--offset", "8")):
+            code, _, err = run(capsys, *command, "--max-n", "9")
+            # the sweeps have no --allow-large; the message must not suggest one
+            assert code == 2 and "kdom enumerate --allow-large" in err, command
         # below K3 no level exists, so no sweep has anything to report
-        for low in ("2", "1", "-3"):
-            got = run(capsys, *command, "--max-n", low)
-            assert got == (2, "", f"error: n={low} is below the smallest level 3\n"), command
+        for command in sweeps:
+            for low in ("2", "1", "-3"):
+                got = run(capsys, *command, "--max-n", low)
+                assert got == (2, "", f"error: n={low} is below the smallest level 3\n"), command
+    # theorem 3.3 and offset 3 enumerate levels 3 and 4 only: their level 5 is
+    # the class n + 2, and the levels above it are empty, so 9 is admitted
+    for command in sweeps[2:]:
+        assert run(capsys, *command, "--max-n", "9")[0] == 0, command
+
+
+def test_sweeps_at_max_n_9_enumerate_no_level_9(capsys, monkeypatch):
+    # offset 7 and theorems 3.1..3.5 enumerate no level above 8: offset 7's
+    # level 9 is the class n + 2, and each theorem's level 9 lies above its top
+    def below_9(real):
+        def call(n, *args, **kwargs):
+            assert n <= 8, f"level {n} enumerated"
+            return real(n, *args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr("kdom.verifier.level_records", below_9(level_records))
+    monkeypatch.setattr("kdom.verifier.connected_graphs", below_9(connected_graphs))
+    code, out, _ = run(capsys, "characterize", "--offset", "7", "--max-n", "9", "--json")
+    assert code == 0
+    levels = json.loads(out)["levels"]
+    assert [len(level["extremal"]) for level in levels] == [0, 0, 0, 22, 356, 19, 2]
+    assert [r["g6"] for r in levels[-1]["extremal"]] == ["H?CidB?", "H~~~~~~"]  # C9 and K9
+    for theorem in THEOREM_OFFSETS:
+        for flags in ((), ("--strict-paper",)):
+            code8, out8, _ = run(capsys, "check-theorem", theorem, "--max-n", "8", "--json", *flags)
+            code9, out9, _ = run(capsys, "check-theorem", theorem, "--max-n", "9", "--json", *flags)
+            doc8, doc9 = json.loads(out8), json.loads(out9)
+            assert code9 == code8 and (code9 == 0 or flags), (theorem, flags)
+            assert doc9.pop("levels") == doc8.pop("levels") + [{"n": 9, "extremal": []}], theorem
+            assert doc9 == {**doc8, "n_max": 9}, theorem
+    for command in (("verify-bound",), ("audit",), ("check-theorem", "3.5"), ("characterize", "--offset", "7")):
+        code, _, err = run(capsys, *command, "--max-n", "10")
+        assert code == 2 and "hard ceiling 9" in err, command
 
 
 def test_verify_bound_text(capsys):

@@ -6,8 +6,10 @@ from itertools import combinations
 import pytest
 
 from kdom import Graph, complete, complete_bipartite, cycle, disjoint_union, friendship, path, remove_matching, wheel
+from kdom import domination
 from kdom.domination import VARIANTS, DominationResult, gamma3, gamma_k, is_k_dominating, is_k_tuple_dominating
 from kdom.enumeration import connected_graphs
+from kdom.graphs import is_connected
 
 from oracles import frontier_min_dominating, naive_min_dominating, random_graph
 
@@ -186,6 +188,9 @@ def tied_graphs():
 def test_oracle_equivalence_random():
     rng = random.Random(23)
     graphs = [random_graph(rng.randint(1, 12), rng, p=rng.random()) for _ in range(50)]
+    # sparse disconnected graphs, whose components gamma_k solves one at a time
+    sparse = (random_graph(rng.randint(2, 12), rng, p=rng.uniform(0.1, 0.4)) for _ in range(50))
+    graphs += [g for g in sparse if not is_connected(g)]
     cases = [(g, k) for g in graphs + list(tied_graphs()) for k in (1, 2, 3)]
     # a node with room for one more vertex takes the lowest vertex that serves
     # every deficient vertex (module docstring); stars, friendship graphs and
@@ -206,6 +211,26 @@ def test_oracle_equivalence_random():
                 assert (res.number, res.witness) == expect, (g, k, variant)
 
 
+def test_components_are_searched_apart(monkeypatch):
+    # a connected input is searched once on its own rows, a disconnected one
+    # once per component, on its rows renumbered in ascending vertex order
+    calls = []
+    search = domination._search
+
+    def recording(rows, *args):
+        calls.append(rows)
+        return search(rows, *args)
+
+    monkeypatch.setattr(domination, "_search", recording)
+    gamma_k(PETERSEN, 3, "k-domination")
+    assert calls == [list(PETERSEN.adj)]
+    calls.clear()
+    g = Graph.from_edges(5, [(0, 2), (1, 3), (3, 4)])  # components {0, 2} and {1, 3, 4}
+    res = gamma_k(g, 1, "k-domination")
+    assert calls == [[0b10, 0b01], [0b010, 0b101, 0b010]]
+    assert (res.number, res.witness) == (2, (0, 3))
+
+
 def test_frontier_oracle_on_families():
     # the frontier dynamic program agrees with the subset scan on small
     # graphs, then checks gamma_k's number and lex-min witness on families
@@ -218,7 +243,7 @@ def test_frontier_oracle_on_families():
     cases = [(cycle(n), None) for n in (20, 31, 40)] + [(path(n), None) for n in (20, 31, 40)]
     cases += [(wheel(n), [n - 1, *range(n - 1)]) for n in (20, 31, 40)]  # hub first
     cases += [(friendship(m), None) for m in (6, 10, 14)]
-    cases += [(reduce(disjoint_union, [c4] * m), None) for m in (2, 3, 5)]
+    cases += [(reduce(disjoint_union, [c4] * m), None) for m in (2, 3, 5, 8, 15)]
     checks = [(g, order, k, variant) for g, order in cases for k, variant in pairs]
     checks += [(g, None, 3, "k-domination") for g in (cycle(62), path(62))]
     for g, order, k, variant in checks:
