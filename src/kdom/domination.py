@@ -39,10 +39,11 @@ components' minima; a minimum set's part in each component is minimum
 there.  The witness is the union W of the components' lex-min witnesses.
 Another minimum set S first differs from W, from the top bit, inside one
 component, where both parts are minimum and W's is the lower, so W < S.
-A component is searched with its vertices renumbered in ascending order,
-which keeps the numeric order of its sets.  The k-tuple feasibility check
-and the forced set are taken on the whole graph first, and a connected
-input is searched on the graph's own rows.
+A component is searched on the graph's own rows with its vertex mask as
+the universe: its rows touch only its vertices, and the numeric order of
+its subsets is the order the search needs.  A connected input's universe
+is V, so it is one search over the whole graph.  The k-tuple feasibility
+check and the forced set are taken on the whole graph first.
 
 The completion's size is bounded by counting, the residual form of
 gamma_k >= k*n / (Delta + k) (Fink and Jacobson, "n-Domination in
@@ -120,14 +121,14 @@ def is_k_tuple_dominating(g, s, k):
     return _dominates(g, s, k, "k-tuple")
 
 
-def _search(rows, k, exempt, forced):
-    """(size, mask) of the numerically smallest minimum feasible set that
-    contains forced, by the branch and bound the module docstring describes."""
-    n = len(rows)
-    full = (1 << n) - 1
-    most = max(row.bit_count() for row in rows) + (k if exempt else 0)  # no drop exceeds it
-    order = [1 << u for u in sorted(range(n), key=lambda u: (-rows[u].bit_count(), u))]
-    best, best_mask = n, full  # V is feasible for every solvable instance
+def _search(rows, k, exempt, forced, part):
+    """(size, mask) of the numerically smallest minimum set inside part, a
+    union of components, that contains forced's part and meets part's
+    requirements, by the branch and bound the module docstring describes."""
+    verts = sorted(iter_bits(part), key=lambda u: (-rows[u].bit_count(), u))
+    order = [1 << u for u in verts]
+    most = rows[verts[0]].bit_count() + (k if exempt else 0)  # the largest degree: no drop exceeds it
+    best, best_mask = len(verts), part  # part is feasible for every solvable instance
 
     def dfs(chosen, banned, size, pending):
         # pending: the parent's deficient vertices; needs only shrink below it
@@ -135,9 +136,9 @@ def _search(rows, k, exempt, forced):
         room = best - size - (chosen >= best_mask)
         if room < 0:
             return
-        free = full & ~(chosen | banned)
+        free = part & ~(chosen | banned)
         serve = free if room else 0  # room <= 1: the vertices u with chosen + u feasible so far
-        pick_opts, pick_width = 0, n + 1
+        pick_opts, pick_width = 0, len(verts) + 1
         deficient = total = 0
         if exempt:
             pending &= ~chosen
@@ -194,7 +195,8 @@ def _search(rows, k, exempt, forced):
                 dfs(chosen | bit, banned, size + 1, deficient)
                 banned |= bit
 
-    dfs(forced, 0, forced.bit_count(), full)
+    forced &= part
+    dfs(forced, 0, forced.bit_count(), part)
     return best, best_mask
 
 
@@ -206,23 +208,14 @@ def gamma_k(g, k, variant):
     if not exempt and any(row.bit_count() < k for row in rows):
         return DominationResult(None, None, variant, k, feasible=False)
     forced = mask_of(v for v, row in enumerate(g.adj) if row.bit_count() < k)
-    parts, left = [], (1 << g.n) - 1
+    size = mask = 0
+    left = (1 << g.n) - 1
     while left:
-        parts.append(component(g, (left & -left).bit_length() - 1))
-        left ^= parts[-1]
-    if len(parts) == 1:  # connected: the graph's own rows
-        size, mask = _search(rows, k, exempt, forced)
-    else:
-        size = mask = 0
-        for part in parts:
-            verts = list(iter_bits(part))  # ascending, so renumbering keeps the order of masks
-
-            def local(m):
-                return mask_of(i for i, v in enumerate(verts) if (m >> v) & 1)
-
-            part_size, part_mask = _search([local(rows[v]) for v in verts], k, exempt, local(forced))
-            size += part_size
-            mask |= mask_of(verts[i] for i in iter_bits(part_mask))
+        part = component(g, (left & -left).bit_length() - 1)
+        left ^= part
+        part_size, part_mask = _search(rows, k, exempt, forced, part)
+        size += part_size
+        mask |= part_mask
     return DominationResult(size, tuple(iter_bits(mask)), variant, k)
 
 

@@ -212,22 +212,22 @@ def test_oracle_equivalence_random():
 
 
 def test_components_are_searched_apart(monkeypatch):
-    # a connected input is searched once on its own rows, a disconnected one
-    # once per component, on its rows renumbered in ascending vertex order
+    # every search runs on the graph's own rows; a connected input is one
+    # search over all of V, a disconnected one a search per component
     calls = []
     search = domination._search
 
-    def recording(rows, *args):
-        calls.append(rows)
-        return search(rows, *args)
+    def recording(rows, k, exempt, forced, part):
+        calls.append((rows, part))
+        return search(rows, k, exempt, forced, part)
 
     monkeypatch.setattr(domination, "_search", recording)
     gamma_k(PETERSEN, 3, "k-domination")
-    assert calls == [list(PETERSEN.adj)]
+    assert calls == [(list(PETERSEN.adj), (1 << 10) - 1)]
     calls.clear()
     g = Graph.from_edges(5, [(0, 2), (1, 3), (3, 4)])  # components {0, 2} and {1, 3, 4}
     res = gamma_k(g, 1, "k-domination")
-    assert calls == [[0b10, 0b01], [0b010, 0b101, 0b010]]
+    assert calls == [(list(g.adj), 0b00101), (list(g.adj), 0b11010)]
     assert (res.number, res.witness) == (2, (0, 3))
 
 
