@@ -11,8 +11,7 @@ an unknown theorem or an offset below 1).
 Importing this module loads only the layers every invariants call runs
 (graphs, domination, connectivity, split); each command imports the
 rest it needs.  The valid theorems and offsets and the default --max-n
-are the verifier's, so the parser leaves them to it.  invariants renders
-each graph's row, text or JSON, in the split_map process that solved it."""
+are the verifier's, so the parser leaves them to it."""
 
 import argparse
 import json
@@ -30,12 +29,8 @@ def _emit(text):
     sys.stdout.write(text)
 
 
-def _json(obj):
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
 def _emit_json(obj):
-    _emit(_json(obj) + "\n")
+    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _load_graphs(args):
@@ -110,15 +105,12 @@ def _invariants_text(row):
 
 
 def _cmd_invariants(args):
-    graphs = _load_graphs(args)  # a malformed input fails here, before any graph is solved
-    render = _json if args.json else _invariants_text
-    texts = split_map(lambda g: render(_invariants_row(g)), graphs)  # each row rendered where it was solved
-    if not args.json:
-        _emit("".join(texts))
-    elif len(texts) == 1:
-        _emit(texts[0] + "\n")
-    else:  # json.dumps(rows, indent=2): a JSON string holds no raw newline, so each row nests by two spaces
-        _emit("[\n  " + ",\n  ".join(t.replace("\n", "\n  ") for t in texts) + "\n]\n")
+    # a malformed input fails in _load_graphs, before any graph is solved
+    rows = split_map(_invariants_row, _load_graphs(args))
+    if args.json:
+        _emit_json(rows[0] if len(rows) == 1 else rows)
+    else:
+        _emit("".join(map(_invariants_text, rows)))
     return 0
 
 

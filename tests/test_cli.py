@@ -105,6 +105,8 @@ def test_enumerate(capsys):
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 6 and lines == sorted(lines)
+    code, out, _ = run(capsys, "enumerate", "--n", "4", "--json")
+    assert code == 0 and json.loads(out) == {"n": 4, "count": 6, "graphs": lines}
     code, out, _ = run(capsys, "enumerate", "--n", "6")
     assert code == 0 and len(out.splitlines()) == 112
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ENUMERATE_SHA256
@@ -189,6 +191,20 @@ def test_verify_bound_exits_1_on_a_violation(monkeypatch, capsys):
     assert code == 1 and json.loads(out)["violations"] == [{"g6": "C~", "gamma3": 5, "kappa": 3}]
 
 
+def test_verify_bound_strict_paper_exits_1_on_an_unlisted_equality(monkeypatch, capsys):
+    # a record of sum 2n-1 at n = 4 attains the bound without breaking it,
+    # so only --strict-paper, diffing against Theorem 3.1's list, fails
+    def attaining(n):
+        recs = level_records(n)
+        return recs + (GraphRecord("C~", 4, 3, 3, 3),) if n == 4 else recs
+
+    monkeypatch.setattr("kdom.verifier.level_records", attaining)
+    code, out, _ = run(capsys, "verify-bound", "--max-n", "5", "--json")
+    assert code == 0 and json.loads(out)["violations"] == [] and "C~" in json.loads(out)["equality"]
+    code, out, _ = run(capsys, "verify-bound", "--max-n", "5", "--strict-paper")
+    assert code == 1 and out.startswith("0 violations, equality: ")
+
+
 def test_verify_bound_json_leaves_the_catalog_unbuilt(capsys):
     # the catalog names serve only the text line; --strict-paper builds Theorem 3.1 alone
     theorem_catalog.cache_clear()
@@ -234,6 +250,31 @@ def test_audit(capsys):
     assert "K8 minus matchings (764): 0 failures" in out
     code, _, _ = run(capsys, "audit", "--max-n", "5", "--strict-paper")
     assert code == 1  # the Example 2.4 S2 note counts as a verbatim discrepancy
+
+
+def test_audit_lists_each_failed_fact(capsys, monkeypatch):
+    # each edit to level 4's records breaks exactly one of the audit's four facts
+    edits = {
+        "CF": {"max_degree": 2},  # star: gamma3 = 3 < n with max_degree <= 2
+        "CN": {"gamma3": 2},  # paw: gamma3 below 3
+        "C^": {"kappa": 3},  # diamond: kappa above min_degree 2
+        "C]": {"kappa": 3, "min_degree": 3},  # C4: gamma 2 + kappa 3 > n
+    }
+
+    def edited(n):
+        recs = level_records(n)
+        return tuple(rec._replace(**edits.get(rec.g6, {})) for rec in recs) if n == 4 else recs
+
+    monkeypatch.setattr("kdom.verifier.level_records", edited)
+    code, out, _ = run(capsys, "audit", "--max-n", "4", "--json")
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["delta_equivalence_failures"] == [["CF", 3, 2]]  # [g6, gamma3, max_degree]
+    assert doc["observation_failures"] == [["CN", 2]]  # [g6, gamma3]
+    assert doc["kappa_failures"] == [["C^", 3, 2]]  # [g6, kappa, min_degree]
+    assert doc["gamma_kappa_bound_failures"] == [["C]", 2, 3]]  # [g6, gamma, kappa]
+    code, out, _ = run(capsys, "audit", "--max-n", "4")
+    assert code == 1 and out.count(": 1 failures\n") == 4
 
 
 def test_audit_strict_paper_exits_0_when_the_example_claim_holds(capsys, monkeypatch):

@@ -13,6 +13,7 @@ from kdom import (
     cycle,
     disjoint_union,
     friendship,
+    graph6_decode,
     join,
     min_degree,
     path,
@@ -127,6 +128,9 @@ def test_cut_matches_brute_force_certificate():
     # (cut {0, 1, 2}), but the flows from vertex 0 to its non-neighbours 1
     # and 2 read 4: only the flows between neighbours of 0 find 3
     graphs.append(Graph.from_edges(7, complete_bipartite(3, 4).edges() + [(3, 4), (5, 6)]))
+    # an augmenting path that enters v_in from v_out undoes v's split arc:
+    # kappa runs that step on the first graph, the certificate scan on the second
+    graphs += [graph6_decode("JSOgcPGK`P?"), graph6_decode("J_x@hOHECh?")]
     for g in graphs:
         expected = CutResult(*brute_force_cut(g))
         assert vertex_connectivity(g) == expected, g.edges()

@@ -273,6 +273,12 @@ def test_attach_vertex_count_formula():
             assert g.degree(v) == base.degree(v) + m
 
 
+def test_equal_graphs_hash_equal():
+    built = [cycle(5), Graph.from_edges(5, [(4, 0), (3, 4), (2, 3), (1, 2), (0, 1)]), graph6_decode("Dhc")]
+    assert built[0] == built[1] == built[2] and len({hash(g) for g in built}) == 1
+    assert len({*built, path(5)}) == 2
+
+
 def test_is_connected():
     assert is_connected(Graph(0, ()))
     assert is_connected(path(1))

@@ -161,8 +161,8 @@ def parent_text(rows):
 
 @pytest.mark.parametrize("names, more", [("K1", 0), ("K4", 0), ("K1 K4", 0), ("K1 K4", split.SPLIT_MIN)])
 def test_rows_rendered_in_the_split_print_as_the_rows_did(monkeypatch, capsys, tmp_path, forks, names, more):
-    """Each process renders the rows it solved; the JSON output is still
-    json.dumps of the rows, and the text is the parent's, split or serial."""
+    """The JSON output is json.dumps of the rows, and the text is the
+    parent's renderer over them, split or serial."""
     graphs = [complete(int(name[1:])) for name in names.split()] + seeded_graphs(more)
     rows = [cli._invariants_row(g) for g in graphs]
     heads = rows[: len(names.split())]
