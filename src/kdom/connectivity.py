@@ -9,6 +9,19 @@ SIAM J. Comput. 4, 1975) fits in bitmasks beside g.adj.  It starts from
 the paths s-x-t through the common neighbours x and augments along paths
 found by a BFS whose layers alternate between out-nodes and in-nodes.
 
+The flow lives in three bitmask tables: used holds the v whose split arc
+v_in -> v_out carries flow, into[v] the u whose arc u_out -> v_in
+carries flow, and out[u] the same arcs by tail.  The BFS reads into to
+leave an in-node backwards, and the walk-back reads out to find the
+in-node before an out-node.  No table keeps an arc that leaves s_out,
+nor the starting paths' arcs into t_in, because no search reads them:
+s_out is seen before the first layer, so no reverse arc back to it is
+followed and it is in no later layer, and t_in ends every search that
+reaches it, so it is never expanded and never chosen as a predecessor.
+(The walk-back still writes the arc into t_in of each path it augments;
+nothing reads that either.)  So every BFS layer, walk-back choice, flow,
+value and cut is the one the full residual digraph would give.
+
 kappa(g) comes from Esfahanian and Hakimi (*On computing the
 connectivity of graphs and digraphs*, Networks 14, 1984).  Take a vertex
 v of minimum degree and a minimum cut S.  If v is outside S, some vertex
@@ -61,11 +74,8 @@ def _max_flow_vertex_cut(adj, s, t, stop_at):
     rows.
     """
     used = adj[s] & adj[t]  # split arcs v_in -> v_out carrying flow
-    into = [0] * len(adj)  # into[v]: the u whose arc u_out -> v_in carries flow
+    into = [0] * len(adj)  # into[v]: the u whose arc u_out -> v_in carries flow, u != s
     out = [0] * len(adj)  # out[u]: the same arcs, by tail
-    for x in iter_bits(used):
-        into[x], out[x] = 1 << s, 1 << t
-    out[s] = into[t] = used
     value = used.bit_count()
     while value < stop_at:
         # BFS in alternating layers: out-nodes, in-nodes, out-nodes, ...
@@ -88,7 +98,7 @@ def _max_flow_vertex_cut(adj, s, t, stop_at):
             seen_out |= front
             layers.append(front)
         else:
-            cut = seen_in & ~seen_out & ~(1 << s | 1 << t)
+            cut = seen_in & ~seen_out  # s_out is seen from the start; t_in never is
             return value, tuple(iter_bits(cut))
         # walk back from t_in, augmenting by 1 on the way: every s-t path
         # crosses a unit split arc
@@ -106,8 +116,6 @@ def _max_flow_vertex_cut(adj, s, t, stop_at):
             else:
                 into[v] &= ~(1 << u)
                 out[u] &= ~(1 << v)
-        into[v] |= 1 << s  # the first arc leaves s_out
-        out[s] |= 1 << v
         value += 1
     return value, None
 

@@ -144,29 +144,41 @@ def _component(nbrs, start, removed):
     return seen
 
 
+def closest_min_cut(g, s, t):
+    """(size, cut) of a minimum vertex cut between non-adjacent s and t.
+
+    Scans removal sets by increasing size.  cut is the minimum cut whose
+    s-side component is smallest, checked to lie inside every other
+    minimum cut's s-side.
+    """
+    nbrs = neighbor_sets(g)
+    others = sorted(set(range(g.n)) - {s, t})
+    for size in range(len(others) + 1):
+        sides = {}
+        for cut in combinations(others, size):
+            side = _component(nbrs, s, set(cut))
+            if t not in side:
+                sides[cut] = side
+        if sides:
+            cut = min(sides, key=lambda c: len(sides[c]))
+            assert all(sides[cut] <= side for side in sides.values()), (s, t, sides)
+            return size, cut
+
+
 def brute_force_cut(g):
     """(kappa, cut, separated) as vertex_connectivity defines its certificate.
 
     separated is the lexicographically first non-adjacent pair (s, t)
-    that some removal set of size kappa separates; cut is the one such
-    set whose s-side component is inclusion-minimal.  Guarded at n <= 12.
+    that some removal set of size kappa separates; cut is that pair's
+    closest_min_cut.  Guarded at n <= 12.
     """
     kappa = brute_force_connectivity(g)
     nbrs = neighbor_sets(g)
     for s, t in combinations(range(g.n), 2):
-        if t in nbrs[s]:
-            continue
-        others = set(range(g.n)) - {s, t}
-        sides = {}
-        for cut in combinations(sorted(others), kappa):
-            side = _component(nbrs, s, set(cut))
-            if t not in side:
-                sides[cut] = side
-        if not sides:
-            continue
-        minimal = [cut for cut, side in sides.items() if not any(other < side for other in sides.values())]
-        assert len(minimal) == 1, (s, t, minimal)
-        return kappa, minimal[0], (s, t)
+        if t not in nbrs[s]:
+            size, cut = closest_min_cut(g, s, t)
+            if size == kappa:
+                return kappa, cut, (s, t)
     return kappa, (), None
 
 

@@ -1,9 +1,12 @@
 import hashlib
 import sys
 
+import pytest
+
 from kdom import is_connected
 from kdom.catalog import (
     THEOREM_OFFSETS,
+    DiscrepancyNote,
     canonical_names,
     checked_catalog,
     theorem_catalog,
@@ -103,6 +106,8 @@ def test_notes_sorted_and_deterministic():
     assert notes1 == notes2
     keys = [(nt.theorem, nt.entry, nt.kind, nt.detail) for nt in notes1]
     assert keys == sorted(keys)
+    with pytest.raises(ValueError, match="unknown note kind 'bogus'"):
+        DiscrepancyNote("K3", "3.1", "bogus", "")
 
 
 def test_canonical_names_lookup():

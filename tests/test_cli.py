@@ -308,6 +308,9 @@ def test_usage_errors(capsys, tmp_path):
     bad.write_text("3\n0 x\n")
     code, _, err = run(capsys, "invariants", "--file", str(bad))
     assert code == 2 and "bad edge-list line '0 x'" in err
+    for text, message in (("3\n0 5\n", "edge (0,5) outside 0..2"), ("3\n1 1\n", "loop at vertex 1")):
+        bad.write_text(text)
+        assert run(capsys, "invariants", "--file", str(bad)) == (2, "", f"error: {message}\n"), text
     bad.write_text("٣\n٠ ١\n١ ٢\n", encoding="utf-8")  # Arabic-Indic digits are not read as P3
     code, out, err = run(capsys, "invariants", "--file", str(bad))
     assert code == 2 and out == "" and "vertex count" in err
@@ -328,6 +331,12 @@ def test_usage_errors(capsys, tmp_path):
     for family in ("P99999999999", "K{40,30}", "join(K1,F31)"):
         code, _, err = run(capsys, "construct", "--family", family)
         assert code == 2 and "offset" in err, family
+    for family, message in (
+        ("K,", "expected a size after 'K' (at offset 1)"),
+        ("C3(0P2,0,0)", "attachment multiplicity 0 must be >= 1"),
+        ("C3(60P2,0,0)", "attachment exceeds vertex cap 62"),
+    ):
+        assert run(capsys, "construct", "--family", family) == (2, "", f"error: {message}\n"), family
     # deep nesting is refused at the first function past the limit, not by a RecursionError
     deep = "complement(" * 3000 + "K1" + ")" * 3000
     code, _, err = run(capsys, "construct", "--family", deep)

@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -19,9 +19,9 @@ from kdom import (
     path,
     wheel,
 )
-from kdom.connectivity import CutResult, kappa, vertex_connectivity
+from kdom.connectivity import CutResult, _max_flow_vertex_cut, kappa, vertex_connectivity
 
-from oracles import _connected_after_removal, brute_force_connectivity, brute_force_cut, random_graph
+from oracles import _connected_after_removal, brute_force_connectivity, brute_force_cut, closest_min_cut, random_graph
 
 
 # SHA-256 of repr((kappa, cut, separated)) over connected_graphs(3..8) and
@@ -135,6 +135,17 @@ def test_cut_matches_brute_force_certificate():
         expected = CutResult(*brute_force_cut(g))
         assert vertex_connectivity(g) == expected, g.edges()
         assert kappa(g) == expected.kappa, g.edges()
+
+
+def test_kernel_returns_the_closest_minimum_cut():
+    # every ordered non-adjacent pair up to n = 7, not only the pairs where
+    # kappa or the certificate scan stop: the value and the cut are the
+    # pair's own, whatever flow the kernel found
+    for n in range(3, 8):
+        for g in connected_graphs(n):
+            for s, t in permutations(range(n), 2):
+                if not g.adj[s] >> t & 1:
+                    assert _max_flow_vertex_cut(g.adj, s, t, n) == closest_min_cut(g, s, t), (g.edges(), s, t)
 
 
 def test_kappa_at_most_min_degree():

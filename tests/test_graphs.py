@@ -48,6 +48,15 @@ def test_rejects_loops_and_out_of_range_bits():
         Graph(2, (0b100, 0b000))
     with pytest.raises(ValueError):
         Graph(63, tuple(0 for _ in range(63)))
+    for call, message in (
+        (lambda: Graph(2, (0,)), "expected 2 adjacency rows, got 1"),
+        (lambda: complete(-1), "complete requires n >= 0"),
+        (lambda: complete_bipartite(-1, 2), "complete_bipartite requires nonnegative part sizes"),
+        (lambda: min_degree(Graph(0, ())), "min_degree of the empty graph is undefined"),
+        (lambda: max_degree(Graph(0, ())), "max_degree of the empty graph is undefined"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 def test_constructors_validate(on_sizes=(1, 2, 3, 5, 8)):
