@@ -81,7 +81,7 @@ order depends only on the degrees, so it is sorted once per search.
 
 from collections import namedtuple
 
-from .graphs import as_mask, component, iter_bits, mask_of
+from .graphs import as_mask, components, iter_bits, mask_of
 
 VARIANTS = ("k-domination", "k-tuple")
 
@@ -209,10 +209,7 @@ def gamma_k(g, k, variant):
         return DominationResult(None, None, variant, k, feasible=False)
     forced = mask_of(v for v, row in enumerate(g.adj) if row.bit_count() < k)
     size = mask = 0
-    left = (1 << g.n) - 1
-    while left:
-        part = component(g, (left & -left).bit_length() - 1)
-        left ^= part
+    for part in components(g):
         part_size, part_mask = _search(rows, k, exempt, forced, part)
         size += part_size
         mask |= part_mask

@@ -19,19 +19,43 @@ A child's string is its parent's string followed by the new column, so
 taking parents in graph6 order and new columns in ascending order emits
 every level in graph6 order.  A new column whose adjacency to the first
 m-2 vertices reads below the parent's last column is skipped: swapping the
-two last vertices would give a smaller string.  The connected level is the
-kept graphs that are connected.  Levels are cached, so repeat calls are
-free within a process.  Each parent's children depend only on that
-parent, so a level's parents go through kdom.split.split_map, which
-shares them out in chunks with a forked child on a host with two CPUs.
+two last vertices would give a smaller string.  Three more shortcuts settle
+children before the placement search, and each keeps exactly the children
+is_lex_min alone would keep:
+
+- Only a parent is built in full.  connected_graphs(n) builds levels
+  2..n-1 in full, as parents, but level n, its top, only from the children
+  whose new vertex has a neighbour in every component of the parent.
+  Those are exactly the connected children: the parent's components meet
+  only through the new vertex, and a component it misses stays a
+  component of the child.  A later call that needs a top level as a
+  parent builds it again, in full, at that point; the connected tuple
+  already cached is kept.  kdom.verifier asks for its highest level
+  first, so each lower level is built once.
+- A twin swap rejects.  Let i < j be twins of the parent (the same
+  neighbours apart from each other) with the new vertex adjacent to i and
+  not to j.  Swapping i and j is an automorphism of the parent, so every
+  earlier column stays the same, and it moves the new column's 1 at i to
+  j, which lowers the last column.  So the child is not lex-min.
+- The twin table is handed down.  Twins i < j of the child below the new
+  vertex are twins of the parent that the new vertex treats alike, and the
+  new vertex's twins are the i whose parent row is its column without i.
+  So each child's table is its parent's, narrowed, plus one entry, and the
+  placement search takes it instead of rebuilding it from the rows.
+
+Levels are cached, so repeat calls are free within a process.  Each
+parent's children depend only on that parent, so a level's parents go
+through kdom.split.split_map, which shares them out in chunks with a
+forked child on a host with two CPUs; each parent's twin table and
+components are made in the process that takes it.
 
 Guards (check_guard, which builds nothing): n <= 8 by default;
 allow_large=True (`kdom enumerate --allow-large`) lifts it to the hard
 ceiling 9.
 """
 
-from .graphs import Graph, is_connected
-from .isomorphism import is_lex_min
+from .graphs import Graph, components, is_connected, mask_of
+from .isomorphism import _smaller_prefix, _twins
 from .split import split_map
 
 DEFAULT_GUARD = 8
@@ -46,23 +70,33 @@ def _column(row, j):
     return int(f"{row:0{j}b}"[::-1], 2) if j else 0
 
 
-def _extend_level(parents, m):
-    """Every graph on m vertices in canonical labeling, in graph6 order."""
+def _extend_level(parents, m, top=False):
+    """Every graph on m vertices in canonical labeling, in graph6 order; if top, the connected ones."""
     new = m - 1
     bit = 1 << new
     subsets = [_column(c, new) for c in range(1 << new)]  # new column -> neighbour mask
 
-    def children(base):
+    def children(parent):
+        base = parent.adj
+        twins = _twins(base)
+        pairs = [(1 << j, lower) for j, lower in enumerate(twins) if lower]
+        comps = components(parent) if top else ()
         kept = []
         for col in range(_column(base[-1], new - 1) << 1, 1 << new):
             sub = subsets[col]
+            if not all(sub & comp for comp in comps):
+                continue  # disconnected
+            if any(lower & sub and not upper & sub for upper, lower in pairs):
+                continue  # a twin swap lowers the last column
             rows = [base[v] | bit if (sub >> v) & 1 else base[v] for v in range(new)]
             rows.append(sub)
-            if is_lex_min(rows):
+            child_twins = [lower & (sub if (sub >> v) & 1 else ~sub) for v, lower in enumerate(twins)]
+            child_twins.append(mask_of(v for v in range(new) if base[v] == sub & ~(1 << v)))
+            if _smaller_prefix(rows, child_twins) is None:
                 kept.append(tuple(rows))
         return kept
 
-    per_parent = split_map(children, [p.adj for p in parents])
+    per_parent = split_map(children, parents)
     return tuple(Graph(m, rows) for kept in per_parent for rows in kept)
 
 
@@ -86,10 +120,11 @@ def connected_graphs(n, allow_large=False):
     ascending canonical graph6 string.
     """
     check_guard(n, allow_large)
-    for m in range(2, n + 1):
-        if m not in _levels:
-            graphs = _extend_level(_all_levels[m - 1], m)
-            if m < MAX_CEILING:  # the top level is never a parent
-                _all_levels[m] = graphs
-            _levels[m] = tuple(g for g in graphs if is_connected(g))
+    for m in range(2, n):  # the parents, in full
+        if m not in _all_levels:
+            _all_levels[m] = _extend_level(_all_levels[m - 1], m)
+            if m not in _levels:
+                _levels[m] = tuple(g for g in _all_levels[m] if is_connected(g))
+    if n not in _levels:
+        _levels[n] = _extend_level(_all_levels[n - 1], n, top=True)
     return _levels[n]

@@ -270,6 +270,17 @@ def component(g, v):
     return seen
 
 
+def components(g):
+    """Bitmasks of g's components, in the order of their lowest vertices."""
+    parts = []
+    left = (1 << g.n) - 1
+    while left:
+        part = component(g, (left & -left).bit_length() - 1)
+        parts.append(part)
+        left ^= part
+    return parts
+
+
 def is_connected(g):
     """True when g has one component; degenerate n <= 1 counts as connected."""
     return g.n <= 1 or component(g, 0) == (1 << g.n) - 1

@@ -33,8 +33,11 @@ searched, so both stay exact: a vertex with a lower twin still unplaced
 a sibling of the identity path, everything after the first tied leaf
 (that leaf is an automorphism mapping the searched identity subtree onto
 the sibling's).  Twin pruning makes complete, edgeless and complete
-multipartite graphs cheap.  Simple and auditable by brute force, which is
-the point; practical partition-refinement tools are out of scope.
+multipartite graphs cheap.  The twin table is built from the rows on each
+call (_twins) unless the caller hands it in: the orderly generator
+(kdom.enumeration) derives each child's table from its parent's.  Simple
+and auditable by brute force, which is the point; practical
+partition-refinement tools are out of scope.
 """
 
 from collections import namedtuple
@@ -52,21 +55,29 @@ class CanonicalForm(namedtuple("CanonicalForm", "canon_graph6 relabeling")):
     __slots__ = ()
 
 
-def _smaller_prefix(adj):
-    """First placement prefix whose columns beat the identity labeling's, or None.
-
-    adj holds the adjacency rows.  The prefix lists vertices by position;
-    its columns tie the identity labeling's except the last, which is lower.
-    """
-    n = len(adj)
-    if n <= 1:
-        return None
-    twins = [0] * n  # twins[j]: the i < j with the same neighbours as j apart from i and j
-    for j in range(1, n):
+def _twins(adj):
+    """twins[j]: the i < j with the same neighbours as j apart from i and j."""
+    twins = [0] * len(adj)
+    for j in range(1, len(adj)):
         row = adj[j]
         for i in range(j):
             if row & ~(1 << i) == adj[i] & ~(1 << j):
                 twins[j] |= 1 << i
+    return twins
+
+
+def _smaller_prefix(adj, twins=None):
+    """First placement prefix whose columns beat the identity labeling's, or None.
+
+    adj holds the adjacency rows, and twins, when given, is _twins(adj).
+    The prefix lists vertices by position; its columns tie the identity
+    labeling's except the last, which is lower.
+    """
+    n = len(adj)
+    if n <= 1:
+        return None
+    if twins is None:
+        twins = _twins(adj)
     prefix = []  # the placed vertices, by position
 
     def dfs(depth, remaining, on_identity_path):

@@ -128,6 +128,9 @@ def _levels(n_max, top=None):
     """
     top = n_max + 1 if top is None else top
     check_guard(n_max, allow_large=top - 1 <= DEFAULT_GUARD, least=_MIN_LEVEL)
+    highest = min(n_max, top - 1)  # the highest enumerated level
+    if highest >= _MIN_LEVEL:
+        connected_graphs(highest)  # first, so each level below it is built once, as a parent
     levels = range(_MIN_LEVEL, n_max + 1)
     return [(n, level_records(n) if n < top else top_records(n) if n == top else ()) for n in levels]
 

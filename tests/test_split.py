@@ -62,10 +62,11 @@ def assert_no_child_left():
 
 
 def build_levels(top):
-    """Adjacency rows of every level 1..top, each built by _extend_level."""
+    """Adjacency rows of every level 1..top built in full by _extend_level, then of level top built as a top level."""
     levels = [enumeration._all_levels[1]]
     for m in range(2, top + 1):
         levels.append(enumeration._extend_level(levels[-1], m))
+    levels.append(enumeration._extend_level(levels[-2], top, top=True))
     return [tuple(g.adj for g in level) for level in levels]
 
 
@@ -98,10 +99,11 @@ def test_the_free_process_takes_the_remaining_chunks(forks):
 
 def test_levels_up_to_8_equal_serial_and_split(monkeypatch, forks):
     split_levels = build_levels(8)
-    assert forks["forks"] >= 2 and set(forks["statuses"]) == {0}  # levels 7 and 8 at least
+    assert forks["forks"] >= 3 and set(forks["statuses"]) == {0}  # levels 7 and 8 and the top 8 at least
     monkeypatch.setattr(split, "_cpus", lambda: 1)
     assert build_levels(8) == split_levels
-    assert [len(level) for level in split_levels] == [1, 2, 4, 11, 34, 156, 1044, 12346]  # OEIS A000088
+    # OEIS A000088, then A001349's connected level 8
+    assert [len(level) for level in split_levels] == [1, 2, 4, 11, 34, 156, 1044, 12346, 11117]
     assert_no_child_left()
 
 
