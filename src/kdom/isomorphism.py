@@ -9,7 +9,8 @@ There is one placement search, _smaller_prefix.  It compares placements
 with the identity labeling's columns, follows only placements that tie
 them, and returns the first prefix whose last column is lower, or None
 when no labeling beats the identity one.  is_lex_min is that None, which
-is the test the orderly enumeration needs.  canonical_form descends with
+is the test the orderly enumeration makes on each child (it calls the
+search itself, to hand in the twin table).  canonical_form descends with
 the same search: while a prefix beats the current labeling, relabel (the
 prefix first, the other vertices after it in their current order) and
 search again.  The columns before the prefix's last position tie and its

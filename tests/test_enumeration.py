@@ -115,6 +115,7 @@ def test_levels_equal_whatever_order_they_are_asked_in(monkeypatch):
 
 def test_verify_bound_builds_each_level_once(monkeypatch):
     fresh_caches(monkeypatch)
+    # an empty records cache, or levels cached by earlier tests would skip the build
     monkeypatch.setattr(verifier, "level_records", lru_cache(verifier.level_records.__wrapped__))
     built = []
     real = enumeration._extend_level
