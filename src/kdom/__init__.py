@@ -7,7 +7,7 @@ imports only the layers it runs."""
 import importlib
 
 _NAMES = {  # module: the public names it defines
-    "catalog": "CatalogEntry DiscrepancyNote checked_catalog",
+    "catalog": "CatalogEntry checked_catalog",
     "connectivity": "CutResult kappa vertex_connectivity",
     "domination": "DominationResult gamma3 gamma_k is_k_dominating is_k_tuple_dominating",
     "enumeration": "connected_graphs",
@@ -16,7 +16,7 @@ _NAMES = {  # module: the public names it defines
     "disjoint_union friendship graph6_decode graph6_encode greedy_matching is_connected join "
     "max_degree min_degree parse_edge_list path remove_matching wheel",
     "isomorphism": "CanonicalForm canonical_form canonical_graph6",
-    "verifier": "audit_small_theorems characterize check_theorem verify_bound",
+    "verifier": "DiscrepancyNote audit_small_theorems characterize check_theorem verify_bound",
 }
 _HOME = {name: module for module, names in _NAMES.items() for name in names.split()}
 __all__ = list(_HOME)

@@ -10,7 +10,11 @@ and kappa, and gamma3+kappa is compared against the theorem's 2n-offset
 target; checked_catalog() joins the five theorems.  Static transcription
 notes record label mismatches, proof-only members, and figure
 duplicates, and a fails-target note is attached to every entry that
-misses its target.  Nothing is silently corrected.
+misses its target.  Nothing is silently corrected.  The notes are of the
+verifier's DiscrepancyNote type, since the verifier prints every note.
+Of the sweeps only check_theorem reads this module; the CLI also loads
+it to name the catalog graphs in characterize's and verify-bound's text
+and for verify-bound --strict-paper.
 """
 
 from collections import namedtuple
@@ -21,10 +25,9 @@ from .domination import gamma3
 from .families import build_family
 from .graphs import Graph, is_connected
 from .isomorphism import canonical_graph6
+from .verifier import DiscrepancyNote
 
 THEOREM_OFFSETS = {"3.1": 1, "3.2": 2, "3.3": 3, "3.4": 4, "3.5": 5}
-
-NOTE_KINDS = ("fails-target", "label-mismatch", "missing-from-statement", "ambiguous-figure")
 
 
 class CatalogEntry(namedtuple("CatalogEntry", "name theorem source graph canon gamma3 kappa")):
@@ -35,18 +38,6 @@ class CatalogEntry(namedtuple("CatalogEntry", "name theorem source graph canon g
     """
 
     __slots__ = ()
-
-
-class DiscrepancyNote(namedtuple("DiscrepancyNote", "entry theorem kind detail")):
-    __slots__ = ()
-
-    def __new__(cls, entry, theorem, kind, detail):
-        if kind not in NOTE_KINDS:
-            raise ValueError(f"unknown note kind {kind!r}")
-        return super().__new__(cls, entry, theorem, kind, detail)
-
-    def to_jsonable(self):
-        return {"entry": self.entry, "kind": self.kind, "detail": self.detail}
 
 
 # (name, theorem, source, recipe); a recipe is DSL text or (n, edges), and the

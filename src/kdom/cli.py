@@ -10,7 +10,8 @@ an unknown theorem or an offset below 1).
 
 Importing this module loads only the layers every invariants call runs
 (graphs, domination, connectivity, split); each command imports the
-rest it needs.  The valid theorems and offsets and the default --max-n
+rest it needs, the catalog and its DSL only where it names catalog
+graphs or diffs a theorem.  The valid theorems and offsets and the default --max-n
 are the verifier's, so the parser leaves them to it."""
 
 import argparse
@@ -147,13 +148,14 @@ def _n_max(args):
 
 
 def _cmd_characterize(args):
-    from .catalog import canonical_names
     from .verifier import characterize
 
     doc = characterize(args.offset, **_n_max(args))
     if args.json:
         _emit_json(doc)
         return 0
+    from .catalog import canonical_names
+
     lookup = canonical_names()
     _emit(f"gamma3+kappa = 2n-{args.offset}, n = 3..{doc['n_max']}\n")
     for level in doc["levels"]:
@@ -191,18 +193,22 @@ def _cmd_check_theorem(args):
 
 
 def _cmd_verify_bound(args):
-    from .catalog import canonical_names, theorem_catalog
     from .verifier import verify_bound
 
     doc = verify_bound(**_n_max(args))
     if args.json:
         _emit_json(doc)
     else:
+        from .catalog import canonical_names
+
         lookup = canonical_names()
         names = ", ".join(_entry_names(g6, lookup) for g6 in doc["equality"])
         _emit(f"{len(doc['violations'])} violations, equality: {names or '(none)'}\n")
-    if args.strict_paper and doc["equality"] != sorted(e.canon for e in theorem_catalog("3.1")[0]):
-        return 1  # Theorem 3.1 lists exactly the graphs that attain the bound
+    if args.strict_paper:
+        from .catalog import theorem_catalog
+
+        if doc["equality"] != sorted(e.canon for e in theorem_catalog("3.1")[0]):
+            return 1  # Theorem 3.1 lists exactly the graphs that attain the bound
     return 1 if doc["violations"] else 0
 
 

@@ -17,6 +17,12 @@ its "matchings" count adds the n! / ((n-2m)! m! 2^m) labeled matchings.
 Each sweep returns the plain dict that its CLI command prints under
 --json, so the keys and the level shape {"n", "extremal"} live only here;
 identical inputs give byte-identical JSON, and no timing is recorded.
+DiscrepancyNote, the type of every note a sweep prints (the catalog's,
+which check_theorem reports, and the audit's Example 2.4 note), is
+defined here with its keys, and the catalog imports it.  Only
+check_theorem reads the catalog, so it alone imports it, when it runs:
+verify_bound, characterize and the audit load neither the catalog nor
+the family DSL it builds its entries with.
 Levels start at n=3, the smallest order where the source bounds apply.
 
 Horizon lemma: a connected graph with n >= 3 has gamma3+kappa <= n+2.
@@ -72,7 +78,6 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .catalog import DiscrepancyNote, THEOREM_OFFSETS, theorem_catalog
 from .connectivity import kappa
 from .domination import gamma3, gamma_k, is_k_dominating
 from .enumeration import DEFAULT_GUARD, check_guard, connected_graphs
@@ -81,6 +86,8 @@ from .isomorphism import canonical_form
 from .split import split_map
 
 _MIN_LEVEL = 3
+
+NOTE_KINDS = ("fails-target", "label-mismatch", "missing-from-statement", "ambiguous-figure")
 
 
 class GraphRecord(namedtuple("GraphRecord", "g6 gamma3 kappa min_degree max_degree")):
@@ -92,6 +99,18 @@ class GraphRecord(namedtuple("GraphRecord", "g6 gamma3 kappa min_degree max_degr
 
     def to_jsonable(self):
         return {"g6": self.g6, "gamma3": self.gamma3, "kappa": self.kappa}
+
+
+class DiscrepancyNote(namedtuple("DiscrepancyNote", "entry theorem kind detail")):
+    __slots__ = ()
+
+    def __new__(cls, entry, theorem, kind, detail):
+        if kind not in NOTE_KINDS:
+            raise ValueError(f"unknown note kind {kind!r}")
+        return super().__new__(cls, entry, theorem, kind, detail)
+
+    def to_jsonable(self):
+        return {"entry": self.entry, "kind": self.kind, "detail": self.detail}
 
 
 def _record(g):
@@ -174,6 +193,8 @@ def check_theorem(theorem, n_max=DEFAULT_GUARD):
     catalog claims and the computation rejects; missing: canonical g6 the
     computation finds and the catalog lacks; caveats: families beyond n_max.
     """
+    from .catalog import THEOREM_OFFSETS, theorem_catalog
+
     if theorem not in THEOREM_OFFSETS:
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {sorted(THEOREM_OFFSETS)}")
     offset = THEOREM_OFFSETS[theorem]

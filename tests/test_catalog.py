@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+import kdom.catalog
+import kdom.verifier
 from kdom import is_connected
 from kdom.catalog import (
     THEOREM_OFFSETS,
@@ -108,6 +110,13 @@ def test_notes_sorted_and_deterministic():
     assert keys == sorted(keys)
     with pytest.raises(ValueError, match="unknown note kind 'bogus'"):
         DiscrepancyNote("K3", "3.1", "bogus", "")
+
+
+def test_the_note_type_has_one_home():
+    """The verifier prints every note, the audit's too, so it defines the
+    type and the catalog imports it."""
+    assert kdom.catalog.DiscrepancyNote is kdom.verifier.DiscrepancyNote
+    assert kdom.verifier.DiscrepancyNote.__module__ == "kdom.verifier"
 
 
 def test_canonical_names_lookup():

@@ -57,6 +57,36 @@ def test_import_cli_loads_only_the_layers_invariants_runs():
     assert out.split() == ["kdom", "kdom.cli", "kdom.connectivity", "kdom.domination", "kdom.graphs", "kdom.split"]
 
 
+@pytest.mark.parametrize(
+    "argv, reads_catalog",
+    [
+        ("verify-bound --max-n 4 --json", False),
+        ("audit --max-n 4 --json", False),
+        ("characterize --offset 3 --max-n 4 --json", False),
+        ("check-theorem 3.3 --max-n 4 --json", True),
+        ("verify-bound --max-n 4 --strict-paper --json", True),
+        ("characterize --offset 3 --max-n 4", True),
+    ],
+)
+def test_each_command_loads_the_catalog_only_if_it_reads_it(argv, reads_catalog):
+    """The theorem catalog and the family DSL under it load only in a
+    command that names catalog graphs or diffs a theorem's list."""
+    probe = (
+        "import contextlib, io, sys, kdom.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    kdom.cli.main(sys.argv[1:])\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'kdom')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kdom.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *argv.split()], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    loaded = out.split()
+    assert "kdom.verifier" in loaded
+    assert ("kdom.catalog" in loaded, "kdom.families" in loaded) == (reads_catalog, reads_catalog)
+
+
 def test_each_public_name_is_its_defining_modules_object():
     for name in kdom.__all__:
         home = importlib.import_module(f"kdom.{kdom._HOME[name]}")
