@@ -11,8 +11,8 @@ an unknown theorem or an offset below 1).
 Importing this module loads only the layers every invariants call runs
 (graphs, domination, connectivity, split); each command imports the
 rest it needs, the catalog and its DSL only where it names catalog
-graphs or diffs a theorem.  The valid theorems and offsets and the default --max-n
-are the verifier's, so the parser leaves them to it."""
+graphs or diffs a theorem.  The valid theorems and offsets and the
+default --max-n are the verifier's, so the parser leaves them to it."""
 
 import argparse
 import json
