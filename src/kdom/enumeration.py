@@ -101,7 +101,12 @@ def _extend_level(parents, m, top=False):
 
 
 def check_guard(n, allow_large=False, least=1):
-    """Raise ValueError unless levels least..n may be built; builds nothing."""
+    """Raise ValueError unless levels least..n may be built; builds nothing.
+
+    The one place that decides which levels may be built: connected_graphs
+    runs it first, and a sweep checks only its range (least, its lowest
+    level, up to MAX_CEILING) and leaves the default guard to connected_graphs.
+    """
     if n < least:
         raise ValueError(f"n={n} is below the smallest level {least}")
     if n > MAX_CEILING:

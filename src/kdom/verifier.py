@@ -142,11 +142,12 @@ def horizon(target_offset):
 def _levels(n_max, top=None):
     """(n, records) for 3 <= n <= n_max: level_records(n) below top, top_records(n) at it, () above.
 
-    top=None solves every level.  The guard runs before any level is built, and
-    only the levels below top, the enumerated ones, must pass the default guard.
+    top=None solves every level.  n_max must lie in 3..MAX_CEILING, and
+    connected_graphs, asked first for the highest enumerated level, alone
+    refuses one above the default guard, before any level is built.
     """
     top = n_max + 1 if top is None else top
-    check_guard(n_max, allow_large=top - 1 <= DEFAULT_GUARD, least=_MIN_LEVEL)
+    check_guard(n_max, allow_large=True, least=_MIN_LEVEL)
     highest = min(n_max, top - 1)  # the highest enumerated level
     if highest >= _MIN_LEVEL:
         connected_graphs(highest)  # first, so each level below it is built once, as a parent

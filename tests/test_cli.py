@@ -118,13 +118,14 @@ def test_enumerate_guards(capsys, monkeypatch):
     code, _, err = run(capsys, "enumerate", "--n", "10", "--allow-large")
     assert code == 2 and "hard ceiling 9" in err
 
-    def unreachable(n):
-        raise AssertionError(f"level {n} solved before the guard")
+    def unreachable(n, *args):
+        raise AssertionError(f"level {n} built or solved before the guard")
 
     sweeps = (("verify-bound",), ("audit",), ("check-theorem", "3.3"), ("characterize", "--offset", "3"))
     with monkeypatch.context() as patch:
         patch.setattr("kdom.verifier.level_records", unreachable)
-        # a sweep that would enumerate level 9 is refused before any level is solved
+        patch.setattr("kdom.enumeration._extend_level", lambda parents, m, top=False: unreachable(m))
+        # a sweep that would enumerate level 9 is refused before any level is built
         for command in (("verify-bound",), ("audit",), ("characterize", "--offset", "8")):
             code, _, err = run(capsys, *command, "--max-n", "9")
             # the sweeps have no --allow-large; the message must not suggest one
@@ -135,8 +136,10 @@ def test_enumerate_guards(capsys, monkeypatch):
                 got = run(capsys, *command, "--max-n", low)
                 assert got == (2, "", f"error: n={low} is below the smallest level 3\n"), command
     # theorem 3.3 and offset 3 enumerate levels 3 and 4 only: their level 5 is
-    # the class n + 2, and the levels above it are empty, so 9 is admitted
-    for command in sweeps[2:]:
+    # the class n + 2, and the levels above it are empty, so 9 is admitted;
+    # offset t enumerates the levels up to t + 1, at most 8 for t <= 7
+    offsets = [("characterize", "--offset", str(t)) for t in range(1, 8)]
+    for command in sweeps[2:] + tuple(offsets):
         assert run(capsys, *command, "--max-n", "9")[0] == 0, command
 
 
