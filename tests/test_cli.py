@@ -118,7 +118,7 @@ def test_enumerate_guards(capsys, monkeypatch):
     code, _, err = run(capsys, "enumerate", "--n", "10", "--allow-large")
     assert code == 2 and "hard ceiling 9" in err
 
-    def unreachable(n, *args):
+    def unreachable(n):
         raise AssertionError(f"level {n} built or solved before the guard")
 
     sweeps = (("verify-bound",), ("audit",), ("check-theorem", "3.3"), ("characterize", "--offset", "3"))
